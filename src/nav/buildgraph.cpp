@@ -12,13 +12,11 @@ namespace navsep::nav {
 std::string_view to_string(ProductKind k) noexcept {
   switch (k) {
     case ProductKind::Source: return "Source";
-    case ProductKind::Route: return "Route";
-    case ProductKind::Landmark: return "Landmark";
+    case ProductKind::Program: return "Program";
     case ProductKind::Linkbase: return "Linkbase";
     case ProductKind::ArcTable: return "ArcTable";
     case ProductKind::ArcSlice: return "ArcSlice";
     case ProductKind::Page: return "Page";
-    case ProductKind::Server: return "Server";
   }
   return "?";
 }

@@ -49,13 +49,11 @@ class WorkerPool;
 /// (pages_rewoven counts Page nodes, linkbases_reauthored Linkbase ones).
 enum class ProductKind {
   Source,     // authored inputs: the navigation spec
-  Route,      // one registered route program (name + canonical expression)
-  Landmark,   // one landmark synthesis program (name + options + traffic)
+  Program,    // one generated-family program: a route or a landmark family
   Linkbase,   // one authored linkbase document (links*.xml)
   ArcTable,   // the merged traversal graph + combined arc set
   ArcSlice,   // one page's view of the arc table (arcs leaving it)
   Page,       // one woven (or tangled-rendered) page
-  Server,     // the served entry set (response-cache coherence)
 };
 
 [[nodiscard]] std::string_view to_string(ProductKind k) noexcept;

@@ -6,7 +6,7 @@
 // centrality, picks the top-K hubs, and expresses them as an ordinary
 // context family ("landmarks", one guided-tour context hottest-first).
 // The engine (nav/pipeline.cpp) authors that family through the normal
-// build graph — a `landmark:<name>` product node feeding a
+// build graph — a `program:<name>` product node feeding a
 // `links-<name>.xml` linkbase, exactly the shape of PR 9's AOT routes —
 // so landmark pages are byte-identical to a from-scratch build and ride
 // snapshot replication for free.
@@ -68,7 +68,7 @@ struct LandmarkScore {
     std::string_view name, const std::vector<LandmarkScore>& picks);
 
 /// Content hash of one landmark program: name, options, and the traffic
-/// slice it ranks from. This is the `landmark:<name>` build-graph
+/// slice it ranks from. This is the `program:<name>` build-graph
 /// node's product — re-feeding identical traffic cuts off right there.
 [[nodiscard]] std::uint64_t landmark_token(
     std::string_view name, const LandmarkOptions& options,

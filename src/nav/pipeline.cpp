@@ -18,7 +18,6 @@ namespace {
 /// Build-graph node ids. Pages/slices append the page id.
 constexpr std::string_view kSpecNode = "nav:spec";
 constexpr std::string_view kArcTableNode = "nav:arcs";
-constexpr std::string_view kServerNode = "site:server";
 
 /// The structure linkbase's site path — also the NavArc::source tag of
 /// its arcs and the snapshot's structure_source (one shared constant:
@@ -38,19 +37,45 @@ std::string slice_node(std::string_view page_id) {
 std::string menu_sub_node(std::size_t index) {
   return "menusub:" + std::to_string(index);
 }
-std::string route_node(std::string_view name) {
-  return "route:" + std::string(name);
-}
-std::string landmark_node(std::string_view name) {
-  return "landmark:" + std::string(name);
+std::string program_node(std::string_view name) {
+  return "program:" + std::string(name);
 }
 
-/// Engine::route_index / landmark_index "not registered" sentinel.
+/// Engine::route_index "not registered" sentinel.
 constexpr std::size_t kNoRoute = static_cast<std::size_t>(-1);
 
 /// The base landmark family every profile navigates with once
 /// enable_landmarks runs; per-profile families append "-<profile>".
 constexpr std::string_view kLandmarkFamily = "landmarks";
+
+/// The landmark families `options` synthesizes over `profiles`: the base
+/// family first, then one per profile in registration order when
+/// per_profile is set — the landmark_families() contract. None when
+/// synthesis is off.
+std::vector<std::string> landmark_names(
+    const std::optional<LandmarkOptions>& options,
+    const std::vector<Profile>& profiles) {
+  std::vector<std::string> names;
+  if (!options.has_value()) return names;
+  names.emplace_back(kLandmarkFamily);
+  if (options->per_profile) {
+    for (const Profile& profile : profiles) {
+      names.push_back(std::string(kLandmarkFamily) + "-" + profile.name);
+    }
+  }
+  return names;
+}
+
+/// The profile whose traffic ranks landmark family `name` ("" = global).
+std::string_view landmark_profile(std::string_view name) {
+  return name.size() > kLandmarkFamily.size()
+             ? name.substr(kLandmarkFamily.size() + 1)
+             : std::string_view{};
+}
+
+bool listed(const std::vector<std::string>& names, std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
 
 std::uint64_t hash_str(std::uint64_t seed, std::string_view s) {
   return hash_combine(seed, hash_bytes(s));
@@ -293,26 +318,14 @@ void Engine::publish_snapshot() {
   serve::SnapshotOverlayInputs overlays;
   overlays.arcs = combined_arcs_;  // null in Tangled mode: no overlays
   overlays.structure_source = std::string(kStructureLinkbasePath);
-  overlays.families.reserve(context_linkbases_.size() +
-                            route_programs_.size());
-  for (const ContextLinkbase& entry : context_linkbases_) {
+  // Every slot but the structure's rides as a family: context families,
+  // AOT routes and landmarks are all materialized linkbases by publish
+  // time (path-addressable, slice-hashed). Lazy routes ride only in the
+  // route table and expand inside the snapshot.
+  for (const LinkbaseSlot& slot : linkbases_) {
+    if (slot.name.empty()) continue;
     overlays.families.push_back(
-        serve::SnapshotOverlayInputs::Family{entry.family->name(),
-                                             entry.path});
-  }
-  // AOT routes are fully materialized linkbases by publish time — they
-  // ride as ordinary families (path-addressable, slice-hashed). Lazy
-  // routes ride only in the route table and expand inside the snapshot.
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    if (route_programs_[i].compile != RouteCompile::Aot) continue;
-    overlays.families.push_back(serve::SnapshotOverlayInputs::Family{
-        route_programs_[i].name, routes_[i].path});
-  }
-  // Landmark families are always materialized linkbases (there is no
-  // lazy landmark): they ride exactly like AOT routes.
-  for (const LandmarkState& entry : landmarks_) {
-    overlays.families.push_back(
-        serve::SnapshotOverlayInputs::Family{entry.name, entry.path});
+        serve::SnapshotOverlayInputs::Family{slot.name, slot.path});
   }
   overlays.profiles = profiles_;
   overlays.slice_hashes = overlay_slice_hashes_;
@@ -342,7 +355,7 @@ void Engine::register_profile(Profile profile) {
                     [&](const hypermedia::ContextFamily& f) {
                       return f.name() == name;
                     }) ||
-        route_index(name) != kNoRoute || landmark_index(name) != kNoRoute;
+        route_index(name) != kNoRoute || is_landmark(name);
     if (!known) {
       throw SemanticError("Engine::register_profile: unknown context family '" +
                           name +
@@ -357,25 +370,31 @@ void Engine::register_profile(Profile profile) {
       }
     }
   }
+  // Validate the landmark families the new profile table derives before
+  // committing it: a refused profile must leave no trace.
+  std::vector<Profile> next = profiles_;
   auto existing = std::find_if(
-      profiles_.begin(), profiles_.end(),
+      next.begin(), next.end(),
       [&](const Profile& p) { return p.name == profile.name; });
-  if (existing != profiles_.end()) {
+  if (existing != next.end()) {
     *existing = std::move(profile);
   } else {
-    profiles_.push_back(std::move(profile));
+    next.push_back(std::move(profile));
   }
+  if (landmark_options_.has_value()) {
+    check_landmarks("Engine::register_profile", *landmark_options_, next);
+  }
+  const std::vector<std::string> previous = landmark_families();
+  profiles_ = std::move(next);
   // With landmark synthesis on, the new (or replaced) profile picks up
   // its landmark families: the base one always, its personal one when
   // per_profile is set — which may author a brand-new linkbase and so
   // needs a graph run, not just a publish.
   bool landmarks_changed = false;
   if (landmark_options_.has_value()) {
-    landmarks_changed = refresh_landmark_states();
-    if (landmarks_changed) {
-      sync_landmark_nodes();
-      build_graph_.mark_dirty(std::string(kArcTableNode));
-    }
+    retarget_landmark_profiles(previous);
+    landmarks_changed = landmark_families() != previous;
+    if (landmarks_changed) sync_linkbase_nodes();
   }
   if (batch_open_) {
     // Registration is visible to later batched operations immediately;
@@ -418,12 +437,8 @@ RebuildReport Engine::edit_context_family(
   // authored linkbase (and every later snapshot) silently inconsistent
   // with the in-memory model.
   auto propagate = [&] {
-    for (const ContextLinkbase& entry : context_linkbases_) {
-      if (entry.family == &*family) {
-        build_graph_.mark_dirty(linkbase_node(entry.path));
-        break;
-      }
-    }
+    build_graph_.mark_dirty(
+        linkbase_node(site::context_linkbase_path(family->name())));
     return run_or_defer();
   };
   try {
@@ -456,49 +471,10 @@ RebuildReport Engine::register_route(RouteProgram program) {
         "':' and newlines — the name becomes the route's context-family "
         "name and tags its arcs '<name>:route'");
   }
-  const bool family_collision = std::any_of(
-      families_.begin(), families_.end(),
-      [&](const hypermedia::ContextFamily& f) {
-        return f.name() == program.name;
-      });
-  if (family_collision) {
-    throw SemanticError("Engine::register_route: '" + program.name +
-                        "' already names a context family — routes and "
-                        "families share the profile namespace");
-  }
-  if (landmark_index(program.name) != kNoRoute) {
-    throw SemanticError("Engine::register_route: '" + program.name +
-                        "' already names a landmark family — routes and "
-                        "landmarks share the profile namespace");
-  }
-  const std::string path = site::context_linkbase_path(program.name);
-  for (const LandmarkState& entry : landmarks_) {
-    if (entry.path == path) {
-      throw SemanticError("Engine::register_route: route '" + program.name +
-                          "' would author '" + path +
-                          "', which landmark family '" + entry.name +
-                          "' already owns (names map to paths "
-                          "case-insensitively)");
-    }
-  }
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    if (entry.path == path) {
-      throw SemanticError("Engine::register_route: route '" + program.name +
-                          "' would author '" + path +
-                          "', which family '" + entry.family->name() +
-                          "' already owns (names map to paths "
-                          "case-insensitively)");
-    }
-  }
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    if (routes_[i].path == path && route_programs_[i].name != program.name) {
-      throw SemanticError("Engine::register_route: route '" + program.name +
-                          "' would author '" + path + "', which route '" +
-                          route_programs_[i].name +
-                          "' already owns (names map to paths "
-                          "case-insensitively)");
-    }
-  }
+  const std::size_t index = route_index(program.name);
+  check_namespace("Engine::register_route", program.name,
+                  index != kNoRoute ? std::vector<std::string>{program.name}
+                                    : std::vector<std::string>{});
   // Parse eagerly (errors name the offending token) and store the
   // canonical spelling: route tokens — and with them the lazy overlay
   // cache keys — are hashes of the printed form, so `a/b` and `a / b`
@@ -506,29 +482,19 @@ RebuildReport Engine::register_route(RouteProgram program) {
   program.expression = print_route(parse_route(program.expression));
 
   const std::string name = program.name;
-  const std::size_t index = route_index(name);
   if (index != kNoRoute) {
-    const bool was_aot =
-        route_programs_[index].compile == RouteCompile::Aot;
-    const bool now_aot = program.compile == RouteCompile::Aot;
     route_programs_[index] = std::move(program);
-    if (was_aot && !now_aot) {
-      // Aot -> Lazy: the authored artifact retires; the lazy path serves
-      // the expansion from inside the snapshot instead.
-      site_.remove(routes_[index].path);
-      server_->invalidate(routes_[index].path);
-      routes_[index].doc.reset();
-      routes_[index].graph = xlink::TraversalGraph();
-    }
   } else {
     route_programs_.push_back(std::move(program));
-    routes_.push_back(RouteState{path, nullptr, {}});
   }
-  sync_route_nodes();
-  build_graph_.mark_dirty(route_node(name));
+  // An Aot -> Lazy flip drops the route's slot (its artifact retires and
+  // the lazy path serves the expansion from inside the snapshot); Lazy ->
+  // Aot adds one.
+  sync_linkbase_nodes();
+  build_graph_.mark_dirty(program_node(name));
   // A Lazy program reaches readers purely through the published route
   // table, but run_or_defer()'s graph run always publishes, so no extra
-  // plumbing: the dirty Route node re-hashes and the new table ships.
+  // plumbing: the dirty Program node re-hashes and the new table ships.
   return run_or_defer();
 }
 
@@ -541,8 +507,7 @@ RebuildReport Engine::edit_route(std::string_view name,
   }
   route_programs_[index].expression =
       print_route(parse_route(expression));
-  sync_route_nodes();
-  build_graph_.mark_dirty(route_node(name));
+  build_graph_.mark_dirty(program_node(name));
   return run_or_defer();
 }
 
@@ -552,22 +517,12 @@ RebuildReport Engine::remove_route(std::string_view name) {
     throw ResolutionError("Engine::remove_route: unknown route '" +
                           std::string(name) + "'");
   }
-  const bool was_aot = route_programs_[index].compile == RouteCompile::Aot;
-  const std::string path = routes_[index].path;
   route_programs_.erase(route_programs_.begin() +
                         static_cast<std::ptrdiff_t>(index));
-  routes_.erase(routes_.begin() + static_cast<std::ptrdiff_t>(index));
-  sync_route_nodes();
-  if (was_aot) {
-    // The arc table re-merges without this route's arcs; the artifact
-    // and its cached responses retire now.
-    site_.remove(path);
-    server_->invalidate(path);
-    build_graph_.mark_dirty(std::string(kArcTableNode));
-  }
-  // Lazy removal publishes the shrunk route table through run_or_defer's
-  // unconditional publish (no graph node left to dirty — a clean run
-  // still republishes).
+  // The arc table re-merges without an Aot route's arcs, and its artifact
+  // retires now. A Lazy removal publishes the shrunk route table through
+  // run_or_defer's unconditional publish.
+  sync_linkbase_nodes();
   return run_or_defer();
 }
 
@@ -576,24 +531,6 @@ std::size_t Engine::route_index(std::string_view name) const {
     if (route_programs_[i].name == name) return i;
   }
   return kNoRoute;
-}
-
-std::vector<core::NavArc> Engine::route_input_arcs() const {
-  // Route expressions range over the *authored* navigation — structure
-  // plus context families — never over other routes: expansion is a
-  // function of the authored site, not a fixpoint. The lazy path
-  // mirrors this by excluding every route source from its input.
-  if (structure_linkbase_doc_ == nullptr) return {};
-  xlink::TraversalGraph structure_graph =
-      xlink::TraversalGraph::from_linkbase(*structure_linkbase_doc_);
-  std::vector<core::SourcedGraph> sourced;
-  sourced.reserve(context_linkbases_.size() + 1);
-  sourced.push_back(core::SourcedGraph{std::string(kStructureLinkbasePath),
-                                       &structure_graph});
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    sourced.push_back(core::SourcedGraph{entry.path, &entry.graph});
-  }
-  return core::combined_nav_arcs(sourced);
 }
 
 hypermedia::ContextFamily Engine::route_family(std::string_view name) const {
@@ -607,131 +544,6 @@ hypermedia::ContextFamily Engine::route_family(std::string_view name) const {
                               route_input_arcs());
 }
 
-std::uint64_t Engine::rebuild_route_linkbase(std::size_t index) {
-  RouteState& entry = routes_[index];
-  const hypermedia::ContextFamily family = route_context_family(
-      route_programs_[index].name,
-      parse_route(route_programs_[index].expression), route_input_arcs());
-  site::SiteBuildOptions site_options;
-  site_options.site_base = site_base_;
-  core::LinkbaseOptions lb = site::separated_linkbase_options(site_options);
-  lb.base_uri = site_base_ + entry.path;
-  auto doc = core::build_context_linkbase(family, *nav_, lb);
-  std::string text = xml::write(*doc, {.pretty = true});
-  const std::string* current = site_.get(entry.path);
-  const bool changed = current == nullptr || *current != text;
-  const std::uint64_t hash = hash_bytes(text);
-  if (changed) {
-    site_.put(entry.path, std::move(text));
-    server_->invalidate(entry.path);
-    entry.doc = std::move(doc);
-    entry.graph = core::load_linkbase(*entry.doc);
-  }
-  return hash;
-}
-
-void Engine::sync_route_nodes() {
-  // Same deal as sync_menu_nodes: before wire_graph the graph has no
-  // spec node; wire_graph calls back in once the topology exists.
-  if (!build_graph_.contains(kSpecNode)) return;
-  if (mode_ == WeaveMode::Tangled) return;  // no routes ever registered
-
-  // Linkbase nodes the family and landmark layers own — everything else
-  // of Linkbase kind belongs to (possibly stale) Aot routes.
-  std::vector<std::string> family_owned;
-  family_owned.push_back(linkbase_node(kStructureLinkbasePath));
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    family_owned.push_back(linkbase_node(entry.path));
-  }
-  for (const LandmarkState& entry : landmarks_) {
-    family_owned.push_back(linkbase_node(entry.path));
-  }
-  std::sort(family_owned.begin(), family_owned.end());
-
-  std::vector<std::string> desired_routes;
-  std::vector<std::string> desired_lbs;
-  desired_routes.reserve(route_programs_.size());
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    desired_routes.push_back(route_node(route_programs_[i].name));
-    if (route_programs_[i].compile == RouteCompile::Aot) {
-      desired_lbs.push_back(linkbase_node(routes_[i].path));
-    }
-  }
-  std::vector<std::string> sorted_routes = desired_routes;
-  std::vector<std::string> sorted_lbs = desired_lbs;
-  std::sort(sorted_routes.begin(), sorted_routes.end());
-  std::sort(sorted_lbs.begin(), sorted_lbs.end());
-
-  std::vector<std::string> existing_routes =
-      build_graph_.ids(ProductKind::Route);
-  std::vector<std::string> existing_lbs;
-  for (std::string& id : build_graph_.ids(ProductKind::Linkbase)) {
-    if (!std::binary_search(family_owned.begin(), family_owned.end(), id)) {
-      existing_lbs.push_back(std::move(id));
-    }
-  }
-  std::sort(existing_routes.begin(), existing_routes.end());
-  std::sort(existing_lbs.begin(), existing_lbs.end());
-  if (existing_routes == sorted_routes && existing_lbs == sorted_lbs) {
-    return;  // topology already right
-  }
-
-  // Planning skips dep ids that no longer resolve, so removal order
-  // relative to the arc-table redefinition below does not matter.
-  for (const std::string& id : existing_routes) {
-    if (!std::binary_search(sorted_routes.begin(), sorted_routes.end(), id)) {
-      build_graph_.remove(id);
-    }
-  }
-  for (const std::string& id : existing_lbs) {
-    if (!std::binary_search(sorted_lbs.begin(), sorted_lbs.end(), id)) {
-      build_graph_.remove(id);
-    }
-  }
-
-  // Indices shift on erase; closures resolve by name at run time.
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    const std::string& name = route_programs_[i].name;
-    if (!build_graph_.contains(desired_routes[i])) {
-      build_graph_.define(
-          desired_routes[i], ProductKind::Route, {}, [this, name] {
-            // The program IS the product: its token covers name,
-            // canonical expression and compile mode, so a no-op
-            // re-registration cuts off right here.
-            const std::size_t at = route_index(name);
-            return at == kNoRoute ? std::uint64_t{0}
-                                  : route_token(route_programs_[at]);
-          });
-    }
-    if (route_programs_[i].compile != RouteCompile::Aot) continue;
-    const std::string lb_node = linkbase_node(routes_[i].path);
-    if (build_graph_.contains(lb_node)) continue;
-    // An Aot route re-expands whenever its program, the structure, or
-    // any family linkbase changes — exactly the inputs of expansion.
-    std::vector<std::string> deps;
-    deps.push_back(desired_routes[i]);
-    deps.push_back(linkbase_node(kStructureLinkbasePath));
-    for (const ContextLinkbase& entry : context_linkbases_) {
-      deps.push_back(linkbase_node(entry.path));
-    }
-    build_graph_.define(lb_node, ProductKind::Linkbase, std::move(deps),
-                        [this, name] {
-                          const std::size_t at = route_index(name);
-                          return at == kNoRoute
-                                     ? std::uint64_t{0}
-                                     : rebuild_route_linkbase(at);
-                        });
-  }
-
-  // Re-point the arc table at the full linkbase set (family + Aot route
-  // + landmark): a route expansion change now propagates route ->
-  // linkbase -> arc table -> exactly the changed slices. define() keeps
-  // the stored hash, so re-pointing alone dirties nothing.
-  build_graph_.define(std::string(kArcTableNode), ProductKind::ArcTable,
-                      arc_table_deps(),
-                      [this] { return rebuild_arc_table(); });
-}
-
 void Engine::refresh_route_table() {
   if (route_programs_.empty()) {
     route_table_ = nullptr;
@@ -739,9 +551,9 @@ void Engine::refresh_route_table() {
   }
   auto table = std::make_shared<serve::RouteTable>();
   table->entries.reserve(route_programs_.size());
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    table->entries.push_back(
-        serve::RouteTable::Entry{route_programs_[i], routes_[i].path});
+  for (const RouteProgram& program : route_programs_) {
+    table->entries.push_back(serve::RouteTable::Entry{
+        program, site::context_linkbase_path(program.name)});
   }
   // Title export: the snapshot's lazy expansion authors locator titles
   // from this table, pinning its bytes to what the model-backed AOT
@@ -766,17 +578,19 @@ RebuildReport Engine::enable_landmarks(const obs::TraceAggregate& traffic,
         "Engine::enable_landmarks: the tangled baseline has no separated "
         "navigation to synthesize landmarks into");
   }
+  check_landmarks("Engine::enable_landmarks", options, profiles_);
+  const std::vector<std::string> previous = landmark_families();
   // Copy the tables: re-ranking, diagnostics and the landmark tokens all
   // read from engine-owned state, not from whatever the caller mutates
   // next.
   landmark_traffic_ = traffic;
   landmark_options_ = options;
-  (void)refresh_landmark_states();
-  sync_landmark_nodes();
+  retarget_landmark_profiles(previous);
+  sync_linkbase_nodes();
   // Fresh traffic re-ranks every family: dirty each program node; the
   // token cuts off when the tables (and options) are unchanged.
-  for (const LandmarkState& entry : landmarks_) {
-    build_graph_.mark_dirty(landmark_node(entry.name));
+  for (const std::string& name : landmark_families()) {
+    build_graph_.mark_dirty(program_node(name));
   }
   build_graph_.mark_dirty(std::string(kArcTableNode));
   return run_or_defer();
@@ -784,148 +598,81 @@ RebuildReport Engine::enable_landmarks(const obs::TraceAggregate& traffic,
 
 RebuildReport Engine::disable_landmarks() {
   if (!landmark_options_.has_value()) return RebuildReport{};  // idempotent
+  const std::vector<std::string> previous = landmark_families();
   landmark_options_.reset();
-  (void)refresh_landmark_states();  // desired set is now empty: retire all
   landmark_traffic_ = obs::TraceAggregate{};
-  sync_landmark_nodes();
-  // The arc table re-merges without the landmark arcs (the retired
-  // linkbase nodes can no longer propagate into it).
-  build_graph_.mark_dirty(std::string(kArcTableNode));
+  retarget_landmark_profiles(previous);
+  // Dropping the slots retires every landmark artifact and re-points the
+  // arc table, which re-merges without the landmark arcs.
+  sync_linkbase_nodes();
   return run_or_defer();
 }
 
 std::vector<std::string> Engine::landmark_families() const {
-  std::vector<std::string> names;
-  names.reserve(landmarks_.size());
-  for (const LandmarkState& entry : landmarks_) names.push_back(entry.name);
-  return names;
+  return landmark_names(landmark_options_, profiles_);
+}
+
+bool Engine::is_landmark(std::string_view name) const {
+  return listed(landmark_families(), name);
 }
 
 hypermedia::ContextFamily Engine::landmark_family(
     std::string_view name) const {
-  const std::size_t index = landmark_index(name);
-  if (index == kNoRoute) {
+  if (!is_landmark(name)) {
     throw ResolutionError("Engine::landmark_family: unknown landmark '" +
                           std::string(name) + "'");
   }
-  return landmark_context_family(
-      landmarks_[index].name,
-      score_landmarks(landmark_traffic_, route_input_arcs(),
-                      *landmark_options_, landmarks_[index].profile));
+  return landmark_context_family(name, landmark_picks(name));
 }
 
 std::vector<LandmarkScore> Engine::landmark_picks(
     std::string_view name) const {
-  const std::size_t index = landmark_index(name);
-  if (index == kNoRoute) {
+  if (!is_landmark(name)) {
     throw ResolutionError("Engine::landmark_picks: unknown landmark '" +
                           std::string(name) + "'");
   }
   return score_landmarks(landmark_traffic_, route_input_arcs(),
-                         *landmark_options_, landmarks_[index].profile);
+                         *landmark_options_, landmark_profile(name));
 }
 
-std::size_t Engine::landmark_index(std::string_view name) const {
-  for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    if (landmarks_[i].name == name) return i;
+void Engine::check_landmarks(std::string_view who,
+                             const LandmarkOptions& options,
+                             const std::vector<Profile>& profiles) const {
+  if (options.per_profile) {
+    for (const Profile& profile : profiles) {
+      if (profile.name.find(':') != std::string::npos) {
+        throw SemanticError(
+            std::string(who) + ": profile '" + profile.name +
+            "' contains ':' — per-profile landmark families tag their "
+            "arcs '<family>:landmark' and cannot embed one");
+      }
+    }
   }
-  return kNoRoute;
+  const std::vector<std::string> own = landmark_families();
+  std::vector<std::string> paths;
+  for (const std::string& name : landmark_names(options, profiles)) {
+    check_namespace(who, name, own);
+    std::string path = site::context_linkbase_path(name);
+    if (listed(paths, path)) {
+      throw SemanticError(std::string(who) + ": landmark family '" + name +
+                          "' would author '" + path +
+                          "', which another landmark family already owns "
+                          "(names map to paths case-insensitively)");
+    }
+    paths.push_back(std::move(path));
+  }
 }
 
-bool Engine::refresh_landmark_states() {
-  // The desired family set, base first then per-profile in registration
-  // order — the landmark_families() contract.
-  std::vector<std::pair<std::string, std::string>> desired;  // name, profile
-  if (landmark_options_.has_value()) {
-    desired.emplace_back(std::string(kLandmarkFamily), "");
-    if (landmark_options_->per_profile) {
-      for (const Profile& profile : profiles_) {
-        if (profile.name.find(':') != std::string::npos) {
-          throw SemanticError(
-              "Engine::enable_landmarks: profile '" + profile.name +
-              "' contains ':' — per-profile landmark families tag their "
-              "arcs '<family>:landmark' and cannot embed one");
-        }
-        desired.emplace_back(
-            std::string(kLandmarkFamily) + "-" + profile.name, profile.name);
-      }
-    }
-  }
-
-  // Collision guards, both namespaces routes already police.
-  for (const auto& [name, profile] : desired) {
-    const bool family_collision = std::any_of(
-        families_.begin(), families_.end(),
-        [&, n = name](const hypermedia::ContextFamily& f) {
-          return f.name() == n;
-        });
-    if (family_collision || route_index(name) != kNoRoute) {
-      throw SemanticError("Engine::enable_landmarks: '" + name +
-                          "' already names a context family or route — "
-                          "landmarks share the profile namespace");
-    }
-    const std::string path = site::context_linkbase_path(name);
-    for (const ContextLinkbase& entry : context_linkbases_) {
-      if (entry.path == path) {
-        throw SemanticError("Engine::enable_landmarks: '" + name +
-                            "' would author '" + path + "', which family '" +
-                            entry.family->name() + "' already owns");
-      }
-    }
-    for (const RouteState& entry : routes_) {
-      if (entry.path == path) {
-        throw SemanticError("Engine::enable_landmarks: '" + name +
-                            "' would author '" + path +
-                            "', which a registered route already owns");
-      }
-    }
-  }
-
-  // Reconcile landmarks_ in desired order, keeping authored documents of
-  // surviving states (their linkbases only re-author when the graph says
-  // so) and retiring artifacts of dropped ones.
-  const std::vector<std::string> previous = landmark_families();
-  std::vector<LandmarkState> next;
-  std::vector<bool> kept(landmarks_.size(), false);
-  next.reserve(desired.size());
-  bool changed = false;
-  for (const auto& [name, profile] : desired) {
-    const std::size_t at = landmark_index(name);
-    if (at != kNoRoute) {
-      kept[at] = true;
-      next.push_back(std::move(landmarks_[at]));
-      next.back().name = name;  // moved-from sources may retain SSO text
-      next.back().profile = profile;
-    } else {
-      next.push_back(LandmarkState{
-          name, profile, site::context_linkbase_path(name), nullptr, {}});
-      changed = true;
-    }
-  }
-  for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    if (kept[i]) continue;
-    site_.remove(landmarks_[i].path);
-    server_->invalidate(landmarks_[i].path);
-    changed = true;
-  }
-  landmarks_ = std::move(next);
-
-  // Attach the new families to (and detach dropped ones from) the
-  // registered profiles: the base family for everyone, each per-profile
-  // family for its own audience only.
+void Engine::retarget_landmark_profiles(
+    const std::vector<std::string>& previous) {
+  const std::vector<std::string> current = landmark_families();
   for (Profile& profile : profiles_) {
-    auto drop = std::remove_if(
-        profile.families.begin(), profile.families.end(),
-        [&](const std::string& name) {
-          return std::find(previous.begin(), previous.end(), name) !=
-                     previous.end() &&
-                 landmark_index(name) == kNoRoute;
-        });
-    profile.families.erase(drop, profile.families.end());
-    auto attach = [&](const std::string& name) {
-      if (std::find(profile.families.begin(), profile.families.end(), name) ==
-          profile.families.end()) {
-        profile.families.push_back(name);
+    std::erase_if(profile.families, [&](const std::string& name) {
+      return listed(previous, name) && !listed(current, name);
+    });
+    auto attach = [&](std::string name) {
+      if (!listed(profile.families, name)) {
+        profile.families.push_back(std::move(name));
       }
     };
     if (landmark_options_.has_value()) {
@@ -935,151 +682,206 @@ bool Engine::refresh_landmark_states() {
       }
     }
   }
-  return changed;
 }
 
-std::uint64_t Engine::rebuild_landmark_linkbase(std::size_t index) {
-  LandmarkState& entry = landmarks_[index];
-  const hypermedia::ContextFamily family = landmark_context_family(
-      entry.name, score_landmarks(landmark_traffic_, route_input_arcs(),
-                                  *landmark_options_, entry.profile));
+// --- Engine: authored linkbases ----------------------------------------------
+
+std::vector<std::string> Engine::slot_names() const {
+  std::vector<std::string> names{""};
+  for (const hypermedia::ContextFamily& family : families_) {
+    names.push_back(family.name());
+  }
+  for (const RouteProgram& program : route_programs_) {
+    if (program.compile == RouteCompile::Aot) names.push_back(program.name);
+  }
+  for (std::string& name : landmark_families()) {
+    names.push_back(std::move(name));
+  }
+  return names;
+}
+
+std::unique_ptr<xml::Document> Engine::produce_linkbase(
+    const LinkbaseSlot& slot) const {
   site::SiteBuildOptions site_options;
   site_options.site_base = site_base_;
   core::LinkbaseOptions lb = site::separated_linkbase_options(site_options);
-  lb.base_uri = site_base_ + entry.path;
-  auto doc = core::build_context_linkbase(family, *nav_, lb);
+  lb.base_uri = site_base_ + slot.path;
+  if (slot.name.empty()) return core::build_linkbase(*structure_, lb);
+  for (const hypermedia::ContextFamily& family : families_) {
+    if (family.name() == slot.name) {
+      return core::build_context_linkbase(family, *nav_, lb);
+    }
+  }
+  return core::build_context_linkbase(route_index(slot.name) != kNoRoute
+                                          ? route_family(slot.name)
+                                          : landmark_family(slot.name),
+                                      *nav_, lb);
+}
+
+std::uint64_t Engine::author_linkbase(std::string_view path) {
+  auto slot = std::find_if(
+      linkbases_.begin(), linkbases_.end(),
+      [&](const LinkbaseSlot& s) { return s.path == path; });
+  if (slot == linkbases_.end()) return 0;
+  auto doc = produce_linkbase(*slot);
   std::string text = xml::write(*doc, {.pretty = true});
-  const std::string* current = site_.get(entry.path);
-  const bool changed = current == nullptr || *current != text;
   const std::uint64_t hash = hash_bytes(text);
-  if (changed) {
-    site_.put(entry.path, std::move(text));
-    server_->invalidate(entry.path);
-    entry.doc = std::move(doc);
-    entry.graph = core::load_linkbase(*entry.doc);
+  if (put_if_changed(slot->path, std::move(text))) {
+    // The old document must die only after graph_ stops pointing into
+    // it; nothing dereferences graph_ between here and the arc-table
+    // rebuild this change propagates into.
+    slot->doc = std::move(doc);
+    slot->graph = core::load_linkbase(*slot->doc);
   }
   return hash;
 }
 
-void Engine::sync_landmark_nodes() {
-  // Same deal as sync_route_nodes: before wire_graph the graph has no
+std::uint64_t Engine::program_token(std::string_view name) const {
+  if (const std::size_t at = route_index(name); at != kNoRoute) {
+    return route_token(route_programs_[at]);
+  }
+  if (!is_landmark(name)) return 0;
+  return landmark_token(name, *landmark_options_, landmark_traffic_,
+                        landmark_profile(name));
+}
+
+void Engine::check_namespace(std::string_view who, const std::string& name,
+                             const std::vector<std::string>& own) const {
+  const std::string path = site::context_linkbase_path(name);
+  auto check = [&](const std::string& owner, const std::string& owner_path) {
+    if (listed(own, owner) || (owner != name && owner_path != path)) return;
+    throw SemanticError(std::string(who) + ": '" + name + "' (authoring '" +
+                        path + "') clashes with '" + owner +
+                        "' — context families, routes and landmarks share "
+                        "one name and linkbase namespace (names map to "
+                        "paths case-insensitively)");
+  };
+  for (const LinkbaseSlot& slot : linkbases_) {
+    if (!slot.name.empty()) check(slot.name, slot.path);
+  }
+  for (const RouteProgram& program : route_programs_) {
+    check(program.name, site::context_linkbase_path(program.name));
+  }
+}
+
+void Engine::sync_linkbase_nodes() {
+  // Same deal as sync_menu_nodes: before wire_graph the graph has no
   // spec node; wire_graph calls back in once the topology exists.
   if (!build_graph_.contains(kSpecNode)) return;
-  if (mode_ == WeaveMode::Tangled) return;  // never enabled
+  if (mode_ == WeaveMode::Tangled) return;  // no linkbase layer
 
-  // Linkbase nodes the family and route layers own — whatever else of
-  // Linkbase kind remains belongs to (possibly stale) landmarks.
-  std::vector<std::string> other_owned;
-  other_owned.push_back(linkbase_node(kStructureLinkbasePath));
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    other_owned.push_back(linkbase_node(entry.path));
-  }
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    if (route_programs_[i].compile == RouteCompile::Aot) {
-      other_owned.push_back(linkbase_node(routes_[i].path));
+  std::vector<LinkbaseSlot> next;
+  std::vector<bool> kept(linkbases_.size(), false);
+  for (std::string& name : slot_names()) {
+    std::string path = name.empty() ? std::string(kStructureLinkbasePath)
+                                    : site::context_linkbase_path(name);
+    std::size_t at = 0;
+    while (at < linkbases_.size() &&
+           (kept[at] || linkbases_[at].path != path)) {
+      ++at;
+    }
+    if (at < linkbases_.size()) {
+      kept[at] = true;
+      next.push_back(std::move(linkbases_[at]));
+      next.back().name = std::move(name);
+    } else {
+      next.push_back(
+          LinkbaseSlot{std::move(name), std::move(path), nullptr, {}});
     }
   }
-  std::sort(other_owned.begin(), other_owned.end());
-
-  std::vector<std::string> desired_marks;
-  std::vector<std::string> desired_lbs;
-  desired_marks.reserve(landmarks_.size());
-  desired_lbs.reserve(landmarks_.size());
-  for (const LandmarkState& entry : landmarks_) {
-    desired_marks.push_back(landmark_node(entry.name));
-    desired_lbs.push_back(linkbase_node(entry.path));
+  for (std::size_t i = 0; i < linkbases_.size(); ++i) {
+    if (kept[i]) continue;
+    site_.remove(linkbases_[i].path);
+    server_->invalidate(linkbases_[i].path);
   }
-  std::vector<std::string> sorted_marks = desired_marks;
-  std::vector<std::string> sorted_lbs = desired_lbs;
-  std::sort(sorted_marks.begin(), sorted_marks.end());
-  std::sort(sorted_lbs.begin(), sorted_lbs.end());
+  linkbases_ = std::move(next);
 
-  std::vector<std::string> existing_marks =
-      build_graph_.ids(ProductKind::Landmark);
-  std::vector<std::string> existing_lbs;
-  for (std::string& id : build_graph_.ids(ProductKind::Linkbase)) {
-    if (!std::binary_search(other_owned.begin(), other_owned.end(), id)) {
-      existing_lbs.push_back(std::move(id));
-    }
+  std::vector<std::string> programs;  // every route and landmark family
+  for (const RouteProgram& program : route_programs_) {
+    programs.push_back(program.name);
   }
-  std::sort(existing_marks.begin(), existing_marks.end());
-  std::sort(existing_lbs.begin(), existing_lbs.end());
-  if (existing_marks == sorted_marks && existing_lbs == sorted_lbs) {
+  for (std::string& name : landmark_families()) {
+    programs.push_back(std::move(name));
+  }
+  std::vector<std::string> want_programs;
+  for (const std::string& name : programs) {
+    want_programs.push_back(program_node(name));
+  }
+  std::vector<std::string> linkbases;  // the arc table's deps, weave order
+  for (const LinkbaseSlot& slot : linkbases_) {
+    linkbases.push_back(linkbase_node(slot.path));
+  }
+  std::vector<std::string> want_linkbases = linkbases;
+  std::sort(want_programs.begin(), want_programs.end());
+  std::sort(want_linkbases.begin(), want_linkbases.end());
+  // ids() walks the graph's ordered node map: already sorted.
+  const std::vector<std::string> have_programs =
+      build_graph_.ids(ProductKind::Program);
+  const std::vector<std::string> have_linkbases =
+      build_graph_.ids(ProductKind::Linkbase);
+  if (have_programs == want_programs && have_linkbases == want_linkbases) {
     return;  // topology already right
   }
 
-  for (const std::string& id : existing_marks) {
-    if (!std::binary_search(sorted_marks.begin(), sorted_marks.end(), id)) {
-      build_graph_.remove(id);
+  // Planning skips dep ids that no longer resolve, so removal order
+  // relative to the arc-table redefinition below does not matter.
+  auto retire = [&](const std::vector<std::string>& have,
+                    const std::vector<std::string>& want) {
+    for (const std::string& id : have) {
+      if (!std::binary_search(want.begin(), want.end(), id)) {
+        build_graph_.remove(id);
+      }
     }
+  };
+  retire(have_programs, want_programs);
+  retire(have_linkbases, want_linkbases);
+  for (const std::string& name : programs) {
+    if (build_graph_.contains(program_node(name))) continue;
+    build_graph_.define(program_node(name), ProductKind::Program, {},
+                        [this, name] { return program_token(name); });
   }
-  for (const std::string& id : existing_lbs) {
-    if (!std::binary_search(sorted_lbs.begin(), sorted_lbs.end(), id)) {
-      build_graph_.remove(id);
-    }
-  }
-
-  // Indices shift on reconciliation; closures resolve by name at run
-  // time, exactly like route nodes.
-  for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    const std::string& name = landmarks_[i].name;
-    if (!build_graph_.contains(desired_marks[i])) {
-      build_graph_.define(
-          desired_marks[i], ProductKind::Landmark, {}, [this, name] {
-            // The program IS the product: name, options and the traffic
-            // tables it ranks from — re-feeding identical traffic cuts
-            // off right here.
-            const std::size_t at = landmark_index(name);
-            return at == kNoRoute
-                       ? std::uint64_t{0}
-                       : landmark_token(name, *landmark_options_,
-                                        landmark_traffic_,
-                                        landmarks_[at].profile);
-          });
-    }
-    const std::string lb_node = linkbase_node(landmarks_[i].path);
-    if (build_graph_.contains(lb_node)) continue;
-    // A landmark re-ranks whenever its program (traffic/options), the
-    // structure, or any family linkbase changes — the inputs of scoring.
+  // The structure linkbase follows the spec, a context family's is
+  // dirtied by edit_context_family, and a generated family (AOT route or
+  // landmark) re-expands whenever its program, the structure or any
+  // context family changes — exactly the inputs of route_input_arcs().
+  const std::size_t authored = 1 + families_.size();
+  for (std::size_t i = 0; i < linkbases_.size(); ++i) {
+    if (build_graph_.contains(linkbases[i])) continue;
     std::vector<std::string> deps;
-    deps.push_back(desired_marks[i]);
-    deps.push_back(linkbase_node(kStructureLinkbasePath));
-    for (const ContextLinkbase& entry : context_linkbases_) {
-      deps.push_back(linkbase_node(entry.path));
+    if (i == 0) {
+      deps.emplace_back(kSpecNode);
+    } else if (i >= authored) {
+      deps.push_back(program_node(linkbases_[i].name));
+      deps.insert(deps.end(), linkbases.begin(),
+                  linkbases.begin() + static_cast<std::ptrdiff_t>(authored));
     }
-    build_graph_.define(lb_node, ProductKind::Linkbase, std::move(deps),
-                        [this, name] {
-                          const std::size_t at = landmark_index(name);
-                          return at == kNoRoute
-                                     ? std::uint64_t{0}
-                                     : rebuild_landmark_linkbase(at);
-                        });
+    build_graph_.define(
+        linkbases[i], ProductKind::Linkbase, std::move(deps),
+        [this, path = linkbases_[i].path] { return author_linkbase(path); });
   }
-
-  // Re-point the arc table at the full linkbase set; define() keeps the
-  // stored hash, so re-pointing alone dirties nothing.
+  // Re-point the arc table at every slot: a program change now
+  // propagates program -> linkbase -> arc table -> exactly the changed
+  // slices.
   build_graph_.define(std::string(kArcTableNode), ProductKind::ArcTable,
-                      arc_table_deps(),
+                      std::move(linkbases),
                       [this] { return rebuild_arc_table(); });
 }
 
-std::vector<std::string> Engine::arc_table_deps() const {
-  std::vector<std::string> deps;
-  deps.reserve(1 + context_linkbases_.size() + routes_.size() +
-               landmarks_.size());
-  deps.push_back(linkbase_node(kStructureLinkbasePath));
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    deps.push_back(linkbase_node(entry.path));
+std::vector<core::NavArc> Engine::route_input_arcs() const {
+  // Route expressions range over the *authored* navigation — structure
+  // plus context families — never over other routes: expansion is a
+  // function of the authored site, not a fixpoint. The lazy path
+  // mirrors this by excluding every route source from its input.
+  const std::size_t authored =
+      std::min(linkbases_.size(), 1 + families_.size());
+  std::vector<core::SourcedGraph> sourced;
+  sourced.reserve(authored);
+  for (std::size_t i = 0; i < authored; ++i) {
+    if (linkbases_[i].doc == nullptr) continue;
+    sourced.push_back(
+        core::SourcedGraph{linkbases_[i].path, &linkbases_[i].graph});
   }
-  for (std::size_t i = 0; i < route_programs_.size(); ++i) {
-    if (route_programs_[i].compile == RouteCompile::Aot) {
-      deps.push_back(linkbase_node(routes_[i].path));
-    }
-  }
-  for (const LandmarkState& entry : landmarks_) {
-    deps.push_back(linkbase_node(entry.path));
-  }
-  return deps;
+  return core::combined_nav_arcs(sourced);
 }
 
 RebuildReport Engine::set_access_structure(
@@ -1324,15 +1126,12 @@ std::vector<std::string> Engine::desired_page_ids() const {
   return out;
 }
 
-std::uint64_t Engine::put_if_changed(const std::string& path,
-                                     std::string text) {
-  const std::uint64_t hash = hash_bytes(text);
+bool Engine::put_if_changed(const std::string& path, std::string text) {
   const std::string* current = site_.get(path);
-  if (current == nullptr || *current != text) {
-    site_.put(path, std::move(text));
-    server_->invalidate(path);
-  }
-  return hash;
+  if (current != nullptr && *current == text) return false;
+  site_.put(path, std::move(text));
+  server_->invalidate(path);
+  return true;
 }
 
 std::uint64_t Engine::rebuild_spec() {
@@ -1358,87 +1157,21 @@ std::uint64_t Engine::rebuild_spec() {
   return h;
 }
 
-std::uint64_t Engine::rebuild_structure_linkbase() {
-  site::SiteBuildOptions site_options;
-  site_options.site_base = site_base_;
-  auto doc =
-      core::build_linkbase(*structure_,
-                           site::separated_linkbase_options(site_options));
-  std::string text = xml::write(*doc, {.pretty = true});
-  const std::string* current = site_.get(kStructureLinkbasePath);
-  const bool changed = current == nullptr || *current != text;
-  const std::uint64_t hash = hash_bytes(text);
-  if (changed) {
-    site_.put(std::string(kStructureLinkbasePath), std::move(text));
-    server_->invalidate(kStructureLinkbasePath);
-    // The old document must die only after graph_ stops pointing into it;
-    // nothing dereferences graph_ between here and the arc-table rebuild
-    // this change propagates into.
-    structure_linkbase_doc_ = std::move(doc);
-  }
-  return hash;
-}
-
-std::uint64_t Engine::rebuild_context_linkbase(std::size_t index) {
-  ContextLinkbase& entry = context_linkbases_[index];
-  site::SiteBuildOptions site_options;
-  site_options.site_base = site_base_;
-  core::LinkbaseOptions lb = site::separated_linkbase_options(site_options);
-  lb.base_uri = site_base_ + entry.path;
-  auto doc = core::build_context_linkbase(*entry.family, *nav_, lb);
-  std::string text = xml::write(*doc, {.pretty = true});
-  const std::string* current = site_.get(entry.path);
-  const bool changed = current == nullptr || *current != text;
-  const std::uint64_t hash = hash_bytes(text);
-  if (changed) {
-    site_.put(entry.path, std::move(text));
-    server_->invalidate(entry.path);
-    entry.doc = std::move(doc);
-    entry.graph = core::load_linkbase(*entry.doc);
-  }
-  return hash;
-}
-
 std::uint64_t Engine::rebuild_arc_table() {
-  // Merge the browser-facing traversal graph from the cached documents.
-  xlink::TraversalGraph structure_graph =
-      xlink::TraversalGraph::from_linkbase(*structure_linkbase_doc_);
-  xlink::TraversalGraph merged = structure_graph;  // copy; both are kept
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    merged.merge(entry.graph);  // cached per-family graph, copied in
-  }
-  for (const RouteState& entry : routes_) {
-    if (entry.doc != nullptr) merged.merge(entry.graph);  // Aot routes only
-  }
-  for (const LandmarkState& entry : landmarks_) {
-    if (entry.doc != nullptr) merged.merge(entry.graph);
+  // Merge the browser-facing traversal graph from the cached per-slot
+  // graphs, and materialize the combined arc set with provenance in the
+  // same (weave) order. Route and landmark arcs are context-tagged
+  // ('<name>:route', '<name>:landmark'), so like tour arcs they land in
+  // overlay slices, never in stored pages.
+  xlink::TraversalGraph merged;
+  std::vector<core::SourcedGraph> sourced;
+  sourced.reserve(linkbases_.size());
+  for (const LinkbaseSlot& slot : linkbases_) {
+    if (slot.doc == nullptr) continue;
+    merged.merge(slot.graph);  // copied in; the slot keeps its own
+    sourced.push_back(core::SourcedGraph{slot.path, &slot.graph});
   }
   graph_ = std::move(merged);
-
-  // Materialize the combined arc set with provenance and hand it to the
-  // weaver as the (sole) navigation aspect. Aot route linkbases join
-  // after the families — their arcs are context-tagged ('<name>:route'),
-  // so like tour arcs they land in overlay slices, never in stored pages.
-  std::vector<core::SourcedGraph> sourced;
-  sourced.reserve(context_linkbases_.size() + routes_.size() +
-                  landmarks_.size() + 1);
-  sourced.push_back(
-      core::SourcedGraph{std::string(kStructureLinkbasePath), &structure_graph});
-  for (const ContextLinkbase& entry : context_linkbases_) {
-    sourced.push_back(core::SourcedGraph{entry.path, &entry.graph});
-  }
-  for (const RouteState& entry : routes_) {
-    if (entry.doc != nullptr) {
-      sourced.push_back(core::SourcedGraph{entry.path, &entry.graph});
-    }
-  }
-  // Landmark arcs join last: context-tagged ('<name>:landmark'), so like
-  // tour and route arcs they land in overlay slices, never stored pages.
-  for (const LandmarkState& entry : landmarks_) {
-    if (entry.doc != nullptr) {
-      sourced.push_back(core::SourcedGraph{entry.path, &entry.graph});
-    }
-  }
   std::vector<core::NavArc> arcs = core::combined_nav_arcs(sourced);
 
   core::NavigationAspectOptions aspect_options;
@@ -1522,23 +1255,7 @@ void Engine::sync_pages() {
     }
   }
 
-  if (page_ids_ != desired) {
-    page_ids_ = std::move(desired);
-    // The served entry set changed shape: re-point the coherence node at
-    // the current page set.
-    std::vector<std::string> deps;
-    deps.reserve(page_ids_.size());
-    for (const std::string& id : page_ids_) deps.push_back(page_node(id));
-    build_graph_.define(
-        std::string(kServerNode), ProductKind::Server, std::move(deps),
-        [this] {
-          std::uint64_t h = 0x5e77e0ull;
-          for (const std::string& id : page_ids_) {
-            h = hash_combine(h, build_graph_.hash_of(page_node(id)));
-          }
-          return h;
-        });
-  }
+  page_ids_ = std::move(desired);
 }
 
 BuildGraph::ParallelOutcome Engine::weave_page_outcome(
@@ -1599,7 +1316,9 @@ std::uint64_t Engine::rebuild_tangled_page(const std::string& page_id) {
     if (node == nullptr) return 0;
     text = tangled_renderer_->render_node_page(*node);
   }
-  return put_if_changed(core::default_href_for(page_id), std::move(text));
+  const std::uint64_t hash = hash_bytes(text);
+  (void)put_if_changed(core::default_href_for(page_id), std::move(text));
+  return hash;
 }
 
 void Engine::wire_graph() {
@@ -1614,26 +1333,9 @@ void Engine::wire_graph() {
     // paper measures, reproduced in the report counters.
     return;
   }
-  std::vector<std::string> linkbase_nodes;
-  build_graph_.define(linkbase_node(kStructureLinkbasePath),
-                      ProductKind::Linkbase,
-                      {std::string(kSpecNode)},
-                      [this] { return rebuild_structure_linkbase(); });
-  linkbase_nodes.push_back(linkbase_node(kStructureLinkbasePath));
-  for (std::size_t i = 0; i < context_linkbases_.size(); ++i) {
-    const std::string node = linkbase_node(context_linkbases_[i].path);
-    build_graph_.define(node, ProductKind::Linkbase, {},
-                        [this, i] { return rebuild_context_linkbase(i); });
-    linkbase_nodes.push_back(node);
-  }
-  build_graph_.define(std::string(kArcTableNode), ProductKind::ArcTable,
-                      std::move(linkbase_nodes),
-                      [this] { return rebuild_arc_table(); });
-  // Routes and landmarks registered before a re-wire (none on first
-  // serve) re-join the topology here, after the arc-table node they
-  // feed exists.
-  sync_route_nodes();
-  sync_landmark_nodes();
+  // The structure and context-family slots join the topology here, with
+  // the arc-table node they feed.
+  sync_linkbase_nodes();
 }
 
 // --- SitePipeline ------------------------------------------------------------
@@ -1793,10 +1495,6 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
     engine->site_.put("museum.css", museum::MuseumWorld::site_css());
   } else {
     site::author_fixed_artifacts(engine->site_, *engine->world_);
-    for (const auto& family : engine->families_) {
-      engine->context_linkbases_.push_back(Engine::ContextLinkbase{
-          site::context_linkbase_path(family.name()), &family, nullptr, {}});
-    }
   }
 
   engine->server_ = std::make_unique<site::HypermediaServer>(

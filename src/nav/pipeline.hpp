@@ -253,9 +253,6 @@ class Engine final : public EngineInternals {
   void wire_graph();
   void sync_pages();
   [[nodiscard]] std::uint64_t rebuild_spec();
-  [[nodiscard]] std::uint64_t rebuild_structure_linkbase();
-  [[nodiscard]] std::uint64_t rebuild_context_linkbase(std::size_t index);
-  [[nodiscard]] std::uint64_t rebuild_route_linkbase(std::size_t index);
   [[nodiscard]] std::uint64_t rebuild_arc_table();
   [[nodiscard]] std::uint64_t rebuild_tangled_page(const std::string& page_id);
 
@@ -267,8 +264,8 @@ class Engine final : public EngineInternals {
       const std::string& page_id);
 
   /// Write `text` at `path` iff it differs, invalidating the server's
-  /// cached responses for the path. Returns the text hash.
-  std::uint64_t put_if_changed(const std::string& path, std::string text);
+  /// cached responses for the path. Returns whether it wrote.
+  bool put_if_changed(const std::string& path, std::string text);
 
   /// Snapshot structure_ into a MaterializedStructure (idempotent) so
   /// arc-level edits have a mutable substrate.
@@ -326,20 +323,64 @@ class Engine final : public EngineInternals {
   /// and run (or defer) — the shared tail of the sub-level mutations.
   RebuildReport commit_menu_subs(std::size_t sub_index);
 
-  // --- route programs ---------------------------------------------------------
+  // --- authored linkbases -----------------------------------------------------
 
-  /// Index into route_programs_/routes_, npos when unknown.
-  [[nodiscard]] std::size_t route_index(std::string_view name) const;
+  /// One authored linkbase: the structure's links.xml, or the
+  /// links-<name>.xml of a context family, an AOT route or a landmark
+  /// family. Which of these a slot is only matters to the producer (see
+  /// produce_linkbase) and to the slot's dependencies (see
+  /// sync_linkbase_nodes); everything else treats all slots alike.
+  struct LinkbaseSlot {
+    std::string name;  // family name; "" for the structure linkbase
+    std::string path;  // site path, unique across slots (case-folded)
+    std::unique_ptr<xml::Document> doc;
+    xlink::TraversalGraph graph;  // points into doc
+  };
+
+  /// The slot names linkbases_ must hold, in weave order: "" (the
+  /// structure), the context families, the AOT routes in registration
+  /// order, then the landmark families.
+  [[nodiscard]] std::vector<std::string> slot_names() const;
+
+  /// Build `slot`'s document from the current engine state — the only
+  /// per-kind step of authoring.
+  [[nodiscard]] std::unique_ptr<xml::Document> produce_linkbase(
+      const LinkbaseSlot& slot) const;
+
+  /// The author step every Linkbase node runs: produce the slot's
+  /// document, write it, and when the text differs from the stored
+  /// artifact put and invalidate it, then keep the new document and its
+  /// graph. Returns the text hash (0 for a slot retired before the run).
+  [[nodiscard]] std::uint64_t author_linkbase(std::string_view path);
+
+  /// Reconcile linkbases_ with slot_names() (surviving slots keep their
+  /// documents, dropped ones retire their artifacts), then the build
+  /// graph's Program and Linkbase nodes with the route programs,
+  /// landmark families and slots, and re-point the arc-table node at
+  /// every slot.
+  void sync_linkbase_nodes();
+
+  /// The Program node's product for route or landmark `name`: the
+  /// program token, so an unchanged program cuts off right there.
+  [[nodiscard]] std::uint64_t program_token(std::string_view name) const;
+
+  /// Throws SemanticError unless generated family `name` and its linkbase
+  /// path are free: names and case-folded paths are checked against
+  /// every slot and every route program (Lazy routes author nothing yet
+  /// still reserve their path). Owners named in `own` are the
+  /// claimant's own earlier state and are skipped.
+  void check_namespace(std::string_view who, const std::string& name,
+                       const std::vector<std::string>& own) const;
 
   /// The combined non-route arc set route expansion evaluates over
   /// (structure + family linkbases, weave order) — the engine-side twin
   /// of the snapshot's route-excluded overlay arcs.
   [[nodiscard]] std::vector<core::NavArc> route_input_arcs() const;
 
-  /// Reconcile the build graph's Route nodes ("route:<name>") and the
-  /// Aot routes' Linkbase nodes with route_programs_, and re-point the
-  /// arc-table node's deps — the sync_menu_nodes() pattern for routes.
-  void sync_route_nodes();
+  // --- route programs ---------------------------------------------------------
+
+  /// Index into route_programs_, npos when unknown.
+  [[nodiscard]] std::size_t route_index(std::string_view name) const;
 
   /// Refresh route_table_ from route_programs_ + the model's titles,
   /// preserving pointer identity when nothing changed.
@@ -347,31 +388,21 @@ class Engine final : public EngineInternals {
 
   // --- landmark synthesis -----------------------------------------------------
 
-  /// Index into landmarks_, npos when unknown.
-  [[nodiscard]] std::size_t landmark_index(std::string_view name) const;
+  /// Whether `name` is one of landmark_families().
+  [[nodiscard]] bool is_landmark(std::string_view name) const;
 
-  /// Reconcile landmarks_ with landmark_options_ and the registered
-  /// profiles: one base "landmarks" state, plus "landmarks-<p>" per
-  /// profile when per_profile is set. Validates name collisions,
-  /// retires stale states' artifacts, and attaches/detaches landmark
-  /// family names on profiles_. Returns true when the state set (and
-  /// with it the graph topology) changed.
-  bool refresh_landmark_states();
+  /// Throws SemanticError unless `options` over `profiles` yields landmark
+  /// families that can all be authored: per-profile names need
+  /// ':'-free profile names, and every family must pass check_namespace
+  /// with a path of its own. Changes nothing, so callers run it before
+  /// committing any state.
+  void check_landmarks(std::string_view who, const LandmarkOptions& options,
+                       const std::vector<Profile>& profiles) const;
 
-  /// Reconcile the build graph's Landmark nodes ("landmark:<name>") and
-  /// their Linkbase nodes with landmarks_, and re-point the arc-table
-  /// node's deps — the sync_route_nodes() pattern for landmarks.
-  void sync_landmark_nodes();
-
-  /// Author landmarks_[index]'s linkbase from the stored traffic and
-  /// the current authored arcs (the route-linkbase pattern).
-  [[nodiscard]] std::uint64_t rebuild_landmark_linkbase(std::size_t index);
-
-  /// The arc-table node's full dependency list: structure + family
-  /// linkbases + AOT route linkbases + landmark linkbases. Both syncs
-  /// re-point the node through this so neither forgets the other's
-  /// products.
-  [[nodiscard]] std::vector<std::string> arc_table_deps() const;
+  /// Detach the landmark families in `previous` that are gone from the
+  /// registered profiles, and attach the current ones: the base family to
+  /// every profile, each per-profile family to its own profile.
+  void retarget_landmark_profiles(const std::vector<std::string>& previous);
 
   /// Capture site_ + graph_ as the next epoch and install it in
   /// snapshots_ — the atomic hand-off from this (writer) thread to
@@ -395,41 +426,14 @@ class Engine final : public EngineInternals {
   // they are declared first (destroyed last). A document is only replaced
   // when its serialized text actually changed, which keeps graph element
   // pointers valid across no-op rebuilds.
-  std::unique_ptr<xml::Document> structure_linkbase_doc_;
-  struct ContextLinkbase {
-    std::string path;                          // site path of the linkbase
-    const hypermedia::ContextFamily* family;   // into families_
-    std::unique_ptr<xml::Document> doc;
-    xlink::TraversalGraph graph;               // points into doc
-  };
-  std::vector<ContextLinkbase> context_linkbases_;
+  std::vector<LinkbaseSlot> linkbases_;  // in slot_names() order
 
-  /// Registered route programs (route_programs_, the routes() view) and
-  /// their per-route derived artifacts, index-aligned. Aot routes own an
-  /// authored document + graph exactly like a ContextLinkbase (declared
-  /// before graph_ for the same lifetime reason); Lazy routes keep both
-  /// empty — their expansion lives in the served snapshots.
-  struct RouteState {
-    std::string path;                    // site path ("links-<name>.xml")
-    std::unique_ptr<xml::Document> doc;  // Aot only
-    xlink::TraversalGraph graph;         // points into doc (Aot only)
-  };
+  /// Registered route programs (the routes() view). Aot routes author a
+  /// slot in linkbases_; Lazy routes author nothing — their expansion
+  /// lives in the served snapshots.
   std::vector<RouteProgram> route_programs_;
-  std::vector<RouteState> routes_;
 
-  /// Synthesized landmark families (see enable_landmarks): each one an
-  /// authored linkbase exactly like an AOT route, plus the profile
-  /// whose traffic ranks it ("" = the global base family). Declared
-  /// before graph_ for the same document-lifetime reason as routes.
-  struct LandmarkState {
-    std::string name;                    // family name ("landmarks[-<p>]")
-    std::string profile;                 // ranking lens, "" = global
-    std::string path;                    // site path ("links-<name>.xml")
-    std::unique_ptr<xml::Document> doc;
-    xlink::TraversalGraph graph;         // points into doc
-  };
-  std::vector<LandmarkState> landmarks_;
-  /// Engaged iff landmark synthesis is enabled.
+  /// Engaged iff landmark synthesis is enabled (see enable_landmarks).
   std::optional<LandmarkOptions> landmark_options_;
   /// The traffic tables the current landmarks rank from (copied at
   /// enable time so re-ranking and diagnostics are reproducible).

@@ -201,10 +201,12 @@ class EngineInternals {
   /// Register (or, by name, replace) a serving profile and publish a new
   /// snapshot carrying it. Throws navsep::SemanticError for an empty or
   /// newline-containing name, a family name the engine doesn't have, a
-  /// duplicated family within the profile, or any non-empty family list
+  /// duplicated family within the profile, any non-empty family list
   /// in Tangled mode (the tangled baseline has no separated navigation
-  /// to scope). No page is re-woven: profiles only select among already
-  /// authored linkbases.
+  /// to scope), or — with per-profile landmarks enabled — a profile whose
+  /// landmark family cannot be authored (see enable_landmarks). A refused
+  /// registration changes nothing. No page is re-woven: profiles only
+  /// select among already authored linkbases.
   virtual void register_profile(Profile profile) = 0;
 
   /// The registered profiles, in registration order.
@@ -280,9 +282,11 @@ class EngineInternals {
 
   /// Enable (or re-rank with fresh traffic) landmark synthesis. Throws
   /// navsep::SemanticError in Tangled mode, when a landmark family name
-  /// collides with a context family or route, or when per_profile is
-  /// set and a profile name contains ':' (family names tag arcs
-  /// "<name>:landmark"). Writer-side; batch-aware like every mutation.
+  /// or its case-folded linkbase path collides with a context family, a
+  /// route or another landmark family, or when per_profile is set and a
+  /// profile name contains ':' (family names tag arcs "<name>:landmark").
+  /// A refused call changes nothing. Writer-side; batch-aware like every
+  /// mutation.
   virtual RebuildReport enable_landmarks(const obs::TraceAggregate& traffic,
                                          LandmarkOptions options) = 0;
 

@@ -19,7 +19,7 @@
 // That set becomes an ordinary guided-tour context, so a route program
 // compiles into either
 //
-//   * an ahead-of-time authored linkbase (`route:<name>` build-graph node
+//   * an ahead-of-time authored linkbase (`program:<name>` build-graph node
 //     feeding `links-<name>.xml` through the normal weave path), or
 //   * a lazily synthesized serve-time overlay (serve::SiteSnapshot
 //     expands on first touch and memoizes under slice validity),

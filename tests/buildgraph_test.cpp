@@ -595,7 +595,6 @@ TEST(IncrementalEngine, GraphShapeMatchesTheSite) {
   EXPECT_EQ(g.count(nav::ProductKind::Linkbase), 2u);   // links + ByAuthor
   EXPECT_EQ(g.count(nav::ProductKind::ArcTable), 1u);
   EXPECT_EQ(g.count(nav::ProductKind::Source), 1u);
-  EXPECT_EQ(g.count(nav::ProductKind::Server), 1u);
   EXPECT_FALSE(g.is_dirty("nav:spec"));
   EXPECT_TRUE(g.contains("page:guitar"));
   EXPECT_TRUE(g.contains("linkbase:links-byauthor.xml"));

@@ -339,6 +339,49 @@ TEST(LandmarkPipeline, NamespaceIsPolicedBothWays) {
   EXPECT_THROW((void)in.landmark_picks("landmarks"), ResolutionError);
 }
 
+TEST(LandmarkPipeline, RefusedEnableLeavesLandmarksOff) {
+  auto engine = synthetic_engine(2);
+  nav::EngineInternals& in = engine->internals();
+  (void)in.register_route({"landmarks", "next*", nav::RouteCompile::Aot});
+  EXPECT_THROW(
+      (void)in.enable_landmarks(engine_traffic(*engine), LandmarkOptions{}),
+      SemanticError);
+  (void)in.remove_route("landmarks");
+
+  // The refused enable must not linger as a half-enabled synthesis that
+  // the next profile registration silently switches on.
+  in.register_profile({"p", {}});
+  EXPECT_TRUE(in.landmark_families().empty());
+  EXPECT_TRUE(registered(in, "p").families.empty());
+  EXPECT_EQ(engine->site().get(site::context_linkbase_path("landmarks")),
+            nullptr);
+  expect_sites_identical(engine->site(), full_build_oracle(*engine));
+}
+
+TEST(LandmarkPipeline, RefusedProfileLeavesNoTrace) {
+  auto engine = synthetic_engine(2);
+  nav::EngineInternals& in = engine->internals();
+  (void)in.enable_landmarks(engine_traffic(*engine),
+                            LandmarkOptions{.per_profile = true});
+
+  // A ':' cannot ride a per-profile family name: the profile is refused
+  // whole, and later registrations are not poisoned by it.
+  EXPECT_THROW(in.register_profile({"a:b", {}}), SemanticError);
+  for (const nav::Profile& p : in.profiles()) EXPECT_NE(p.name, "a:b");
+  EXPECT_NO_THROW(in.register_profile({"ok", {}}));
+
+  // Names map to paths case-insensitively: "landmarks-OK" would author
+  // the linkbase "landmarks-ok" already owns.
+  EXPECT_THROW(in.register_profile({"OK", {}}), SemanticError);
+  for (const nav::Profile& p : in.profiles()) EXPECT_NE(p.name, "OK");
+
+  EXPECT_EQ(in.landmark_families(),
+            (std::vector<std::string>{"landmarks", "landmarks-ok"}));
+  EXPECT_EQ(registered(in, "ok").families,
+            (std::vector<std::string>{"landmarks", "landmarks-ok"}));
+  expect_sites_identical(engine->site(), full_build_oracle(*engine));
+}
+
 TEST(LandmarkPipeline, TangledModeRefusesLandmarks) {
   auto engine = nav::SitePipeline()
                     .conceptual(navsep::museum::SyntheticSpec{
