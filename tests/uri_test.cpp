@@ -83,6 +83,13 @@ struct ResolveCase {
   const char* expected;
 };
 
+// Name each case by its reference text. Without a printer gtest shows the
+// two pointers' bytes, so the discovered test names would change with
+// every load address.
+void PrintTo(const ResolveCase& c, std::ostream* os) {
+  *os << '"' << c.ref << '"';
+}
+
 class UriResolveNormal : public ::testing::TestWithParam<ResolveCase> {};
 
 TEST_P(UriResolveNormal, MatchesRfc3986) {
