@@ -118,11 +118,6 @@ site::NavigationSession Engine::open_session() const {
 }
 
 std::unique_ptr<serve::ConcurrentServer> Engine::open_concurrent(
-    std::size_t cache_shards) const {
-  return std::make_unique<serve::ConcurrentServer>(snapshots_, cache_shards);
-}
-
-std::unique_ptr<serve::ConcurrentServer> Engine::open_concurrent(
     std::size_t cache_shards, serve::CacheLimits limits) const {
   return std::make_unique<serve::ConcurrentServer>(snapshots_, cache_shards,
                                                    limits);
@@ -160,11 +155,6 @@ std::string Engine::compose_page(std::string_view node_id,
 }
 
 void Engine::rebuild() {
-  // Blanket invalidation keeps the historical contract: a rebuild() after
-  // registering arbitrary aspects must leave no stale response anywhere.
-  // Clearing BEFORE the run also keeps it cheap — every page the run
-  // replaces would otherwise scan the still-warm cache in invalidate().
-  server_->clear_cache();
   build_graph_.mark_all_dirty();
   if (batch_open_) {
     ++batch_edits_;
@@ -213,10 +203,11 @@ RebuildReport Engine::run_graph_now() {
     WaveFlagGuard guard(parallel_wave_active_, pool != nullptr);
     report = build_graph_.run(pool);
   }
-  // The arc table (and with it the Arc storage the browser's cached
-  // links() point into) may have been rebuilt; re-resolve the session.
-  browser_->refresh();
   publish_snapshot();
+  // The arc table (and with it the Arc storage the browser's cached
+  // links() point into) may have been rebuilt; re-resolve the session
+  // against the epoch just published.
+  browser_->refresh();
   if (telemetry_ != nullptr) {
     telemetry_->counter("build.runs").add(1);
     telemetry_->counter("build.nodes_rebuilt").add(report.nodes_rebuilt);
@@ -288,6 +279,7 @@ void Engine::set_weave_workers(std::size_t lanes) {
 
 void Engine::attach_telemetry(std::shared_ptr<obs::Registry> registry) {
   telemetry_sampler_.reset();
+  server_sampler_.reset();
   build_graph_.set_telemetry(registry.get());
   telemetry_ = std::move(registry);
   if (telemetry_ == nullptr) return;
@@ -295,16 +287,8 @@ void Engine::attach_telemetry(std::shared_ptr<obs::Registry> registry) {
   // shares ownership of itself would never be destroyed. The handle
   // (reset above / on destruction / on re-attach) bounds its use.
   obs::Registry* reg = telemetry_.get();
+  server_sampler_ = server_->register_metrics(telemetry_, "engine.server");
   telemetry_sampler_ = reg->add_sampler([this, reg] {
-    const site::HypermediaServer::Stats s = server_->stats();
-    reg->gauge("engine.server.requests")
-        .set(static_cast<std::int64_t>(s.requests));
-    reg->gauge("engine.server.misses")
-        .set(static_cast<std::int64_t>(s.misses));
-    reg->gauge("engine.server.cache_hits")
-        .set(static_cast<std::int64_t>(s.cache_hits));
-    reg->gauge("engine.server.cache_size")
-        .set(static_cast<std::int64_t>(s.cache_size));
     reg->gauge("store.epoch")
         .set(static_cast<std::int64_t>(snapshots_.epoch()));
     reg->gauge("store.publishes")
@@ -792,7 +776,6 @@ void Engine::sync_linkbase_nodes() {
   for (std::size_t i = 0; i < linkbases_.size(); ++i) {
     if (kept[i]) continue;
     site_.remove(linkbases_[i].path);
-    server_->invalidate(linkbases_[i].path);
   }
   linkbases_ = std::move(next);
 
@@ -861,10 +844,14 @@ void Engine::sync_linkbase_nodes() {
   }
   // Re-point the arc table at every slot: a program change now
   // propagates program -> linkbase -> arc table -> exactly the changed
-  // slices.
-  build_graph_.define(std::string(kArcTableNode), ProductKind::ArcTable,
-                      std::move(linkbases),
-                      [this] { return rebuild_arc_table(); });
+  // slices. Only a changed slot set re-points it — redefining dirties
+  // the node, and a Lazy route's program authors no slot, so its
+  // registration or removal must not re-merge an unchanged arc set.
+  if (have_linkbases != want_linkbases) {
+    build_graph_.define(std::string(kArcTableNode), ProductKind::ArcTable,
+                        std::move(linkbases),
+                        [this] { return rebuild_arc_table(); });
+  }
 }
 
 std::vector<core::NavArc> Engine::route_input_arcs() const {
@@ -1130,7 +1117,6 @@ bool Engine::put_if_changed(const std::string& path, std::string text) {
   const std::string* current = site_.get(path);
   if (current != nullptr && *current == text) return false;
   site_.put(path, std::move(text));
-  server_->invalidate(path);
   return true;
 }
 
@@ -1221,16 +1207,14 @@ void Engine::sync_pages() {
   std::sort(sorted_desired.begin(), sorted_desired.end());
 
   // Retire pages whose member vanished: graph nodes, site artifact,
-  // cached responses, provenance.
+  // provenance.
   for (const std::string& id : page_ids_) {
     if (std::binary_search(sorted_desired.begin(), sorted_desired.end(), id)) {
       continue;
     }
     build_graph_.remove(page_node(id));
     build_graph_.remove(slice_node(id));
-    const std::string path = core::default_href_for(id);
-    site_.remove(path);
-    server_->invalidate(path);
+    site_.remove(core::default_href_for(id));
     provenance_.erase(id);
   }
 
@@ -1263,7 +1247,7 @@ BuildGraph::ParallelOutcome Engine::weave_page_outcome(
   // COMPUTE PHASE — runs on a pool lane during parallel waves. Reads
   // structure_/nav_/weaver aspects (all frozen for the duration of a
   // graph run), writes only locals and the thread-local provenance
-  // scratch. Everything shared-mutable (site_, server_, provenance_)
+  // scratch. Everything shared-mutable (site_, provenance_)
   // moves into the commit closure, which the coordinator runs serially
   // in plan order — so output is byte-identical for any worker count.
   t_weave_provenance.clear();
@@ -1497,8 +1481,6 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
     site::author_fixed_artifacts(engine->site_, *engine->world_);
   }
 
-  engine->server_ = std::make_unique<site::HypermediaServer>(
-      engine->site_, engine->site_base_);
   // Capture Menu sub specs BEFORE wiring so their Source nodes exist
   // from the first run, and configure the pool so the initial weave
   // parallelizes too.
@@ -1512,6 +1494,7 @@ std::unique_ptr<Engine> SitePipeline::serve(std::string_view base) {
   }
   engine->publish_snapshot();  // epoch 1: the initially built site
 
+  engine->server_ = engine->open_concurrent();
   engine->browser_ =
       std::make_unique<site::Browser>(*engine->server_, engine->graph_);
   engine->session_ = std::make_unique<BrowserSession>(*engine->browser_,

@@ -14,7 +14,8 @@
 //
 // The returned Engine owns everything the pipeline produced — conceptual
 // world, navigational model, access structure, context families, woven
-// VirtualSite, server, linkbase documents and their traversal graph —
+// VirtualSite, published snapshots and the server over them, linkbase
+// documents and their traversal graph —
 // with one lifetime instead of five raw-pointer-aliased locals. Callers
 // see it through the role interfaces of roles.hpp: navigator() /
 // session() for applications, internals() for the framework.
@@ -41,18 +42,13 @@
 #include "obs/registry.hpp"
 #include "nav/session.hpp"
 #include "nav/worker_pool.hpp"
+#include "serve/concurrent_server.hpp"
 #include "serve/snapshot.hpp"
 #include "site/browser.hpp"
-#include "site/server.hpp"
 #include "site/session.hpp"
 #include "site/virtual_site.hpp"
 #include "xlink/traversal.hpp"
 #include "xml/dom.hpp"
-
-namespace navsep::serve {
-class ConcurrentServer;
-struct CacheLimits;
-}  // namespace navsep::serve
 
 namespace navsep::repl {
 class Publisher;
@@ -67,8 +63,9 @@ namespace navsep::nav {
 /// against (navigation baked into every page), kept for comparisons.
 enum class WeaveMode { Separated, Tangled };
 
-/// The running result of a SitePipeline: site + server + traversal graph
-/// + weaver under one owner. Create through SitePipeline::serve().
+/// The running result of a SitePipeline: site + snapshots + server +
+/// traversal graph + weaver under one owner. Create through
+/// SitePipeline::serve().
 class Engine final : public EngineInternals {
  public:
   Engine(const Engine&) = delete;
@@ -110,9 +107,11 @@ class Engine final : public EngineInternals {
   }
   /// The woven artifact store (writer-side view).
   [[nodiscard]] const site::VirtualSite& site() const noexcept { return site_; }
-  /// The single-site server over site() (writer-side; concurrent readers
-  /// use open_concurrent() instead).
-  [[nodiscard]] const site::HypermediaServer& server() const noexcept {
+  /// The engine's server over its published snapshots — what the primary
+  /// session and open_browser() browsers read through. Safe for any
+  /// number of reader threads while this engine mutates on its writer
+  /// thread; a mutation is visible here once it has published.
+  [[nodiscard]] const serve::ConcurrentServer& server() const noexcept {
     return *server_;
   }
   /// Separated (the paper's design) or Tangled (the baseline).
@@ -129,17 +128,14 @@ class Engine final : public EngineInternals {
   [[nodiscard]] site::NavigationSession open_session() const;
 
   /// A concurrent read server over the engine's published snapshots (see
-  /// snapshots()): safe for any number of reader threads while this
-  /// engine keeps mutating on its (single) writer thread. The engine
-  /// must outlive it.
+  /// snapshots()) with a cache of its own: safe for any number of reader
+  /// threads while this engine keeps mutating on its (single) writer
+  /// thread. `limits` caps the entries each of the server's shards may
+  /// hold (LRU eviction past the cap; zero degenerates to pass-through).
+  /// See serve::CacheLimits. The engine must outlive it.
   [[nodiscard]] std::unique_ptr<serve::ConcurrentServer> open_concurrent(
-      std::size_t cache_shards = 16) const;
-
-  /// As above with bounded cache layers: `limits` caps the entries each
-  /// of the server's shards may hold (LRU eviction past the cap; zero
-  /// degenerates to pass-through). See serve::CacheLimits.
-  [[nodiscard]] std::unique_ptr<serve::ConcurrentServer> open_concurrent(
-      std::size_t cache_shards, serve::CacheLimits limits) const;
+      std::size_t cache_shards = serve::ConcurrentServer::kDefaultShards,
+      serve::CacheLimits limits = serve::CacheLimits{}) const;
 
   /// A replication publisher streaming this engine's published epochs to
   /// remote replicas at `endpoint` (repl::Endpoint::tcp / unix_socket /
@@ -184,10 +180,6 @@ class Engine final : public EngineInternals {
   }
   [[nodiscard]] const BuildGraph& build_graph() const noexcept override {
     return build_graph_;
-  }
-  void clear_response_cache() override { server_->clear_cache(); }
-  [[nodiscard]] std::size_t response_cache_hits() const noexcept override {
-    return server_->cache_hits();
   }
   [[nodiscard]] const serve::SnapshotStore& snapshots()
       const noexcept override {
@@ -263,8 +255,7 @@ class Engine final : public EngineInternals {
   [[nodiscard]] BuildGraph::ParallelOutcome weave_page_outcome(
       const std::string& page_id);
 
-  /// Write `text` at `path` iff it differs, invalidating the server's
-  /// cached responses for the path. Returns whether it wrote.
+  /// Write `text` at `path` iff it differs. Returns whether it wrote.
   bool put_if_changed(const std::string& path, std::string text);
 
   /// Snapshot structure_ into a MaterializedStructure (idempotent) so
@@ -279,8 +270,8 @@ class Engine final : public EngineInternals {
   /// Mark the spec dirty, run the graph, refresh the session browser.
   RebuildReport run_graph_after_mutation();
 
-  /// Run the graph now (through the pool when eligible), refresh the
-  /// browser, publish one snapshot — or, with a batch open, record the
+  /// Run the graph now (through the pool when eligible), publish one
+  /// snapshot, refresh the browser — or, with a batch open, record the
   /// edit and defer all of it to commit_batch().
   RebuildReport run_or_defer();
   RebuildReport run_graph_now();
@@ -349,7 +340,7 @@ class Engine final : public EngineInternals {
 
   /// The author step every Linkbase node runs: produce the slot's
   /// document, write it, and when the text differs from the stored
-  /// artifact put and invalidate it, then keep the new document and its
+  /// artifact put it, then keep the new document and its
   /// graph. Returns the text hash (0 for a slot retired before the run).
   [[nodiscard]] std::uint64_t author_linkbase(std::string_view path);
 
@@ -462,13 +453,14 @@ class Engine final : public EngineInternals {
   /// keep pointer identity across epochs (the wire's carry-forward probe).
   std::shared_ptr<const serve::RouteTable> route_table_;
 
-  std::unique_ptr<site::HypermediaServer> server_;
-  std::unique_ptr<site::Browser> browser_;
-  std::unique_ptr<BrowserSession> session_;
-
   /// Published site snapshots (self-contained: shared artifact bytes +
   /// value-copied arcs, no pointers into the members above).
   serve::SnapshotStore snapshots_;
+
+  /// The engine's server over snapshots_, and the primary session on it.
+  std::unique_ptr<serve::ConcurrentServer> server_;
+  std::unique_ptr<site::Browser> browser_;
+  std::unique_ptr<BrowserSession> session_;
 
   // --- incremental rebuild state ---------------------------------------------
   BuildGraph build_graph_;
@@ -509,11 +501,12 @@ class Engine final : public EngineInternals {
   std::vector<MenuSubSpec> menu_subs_;
 
   // --- telemetry --------------------------------------------------------------
-  /// Attached registry (see attach_telemetry) and the engine's pull
-  /// sampler registered on it. Handle declared after the registry so it
-  /// unregisters first on destruction.
+  /// Attached registry (see attach_telemetry) and the engine's and its
+  /// server's pull samplers registered on it. Handles declared after the
+  /// registry so they unregister first on destruction.
   std::shared_ptr<obs::Registry> telemetry_;
   obs::SamplerHandle telemetry_sampler_;
+  obs::SamplerHandle server_sampler_;
 };
 
 /// Fluent composer of the whole separated-navigation pipeline. Stages may

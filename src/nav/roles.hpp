@@ -8,8 +8,8 @@
 //
 //   Navigating      — what 98% of callers need: follow links, move.
 //   SessionView     — read-only observation: history, counters.
-//   EngineInternals — framework-only: weaving hooks, arc tables, cache
-//                     control. Application code should never touch this.
+//   EngineInternals — framework-only: weaving hooks, arc tables,
+//                     mutations. Application code should never touch this.
 //
 // site::Browser keeps its concrete API (existing code and tests are
 // untouched); BrowserSession (session.hpp) adapts it to the first two
@@ -87,9 +87,11 @@ class SessionView {
       const noexcept = 0;
   [[nodiscard]] virtual std::size_t pages_visited() const noexcept = 0;
 
-  /// Server-side counters. These are engine-global: the server is shared,
-  /// so every consumer (this session, open_browser() browsers, direct
-  /// server().get() calls) contributes to them.
+  /// Server-side counters: the base layer of the engine server's
+  /// unified_stats() (requests, and not_found as misses). They are
+  /// engine-global: the server is shared, so every consumer (this
+  /// session, open_browser() browsers, direct server().get() calls)
+  /// contributes to them.
   [[nodiscard]] virtual std::size_t requests() const noexcept = 0;
   [[nodiscard]] virtual std::size_t misses() const noexcept = 0;
 };
@@ -111,7 +113,8 @@ class EngineInternals {
       const noexcept = 0;
 
   /// Re-compose every page (after registering extra aspects or mutating
-  /// the site) and drop stale server responses. The force-everything
+  /// the site) and publish the result as a new epoch, which retires every
+  /// cached response of the older ones. The force-everything
   /// path — and the correctness oracle of the incremental mutations
   /// below: their output must be byte-identical to what a rebuild()
   /// from scratch produces.
@@ -122,15 +125,17 @@ class EngineInternals {
   // Each entry point edits the authored navigation design — the paper's
   // §5 change request, live — marks the affected build-graph nodes dirty
   // and runs the graph: only linkbases whose text changed are re-authored,
-  // only pages whose arc slice changed are re-woven, and the server's
-  // response cache / the session browser's arc cache are invalidated for
-  // exactly those pages. The returned report says what it cost.
+  // only pages whose arc slice changed are re-woven, and one new snapshot
+  // epoch is published, which is what retires cached responses. The
+  // returned report says what it cost.
   //
   // Mutations are writer-side: callers must externally synchronize them
-  // against concurrent readers of the site/server (same contract as
-  // rebuild()). Browsers obtained from open_browser() must refresh()
-  // after a mutation; the engine's own session is refreshed
-  // automatically.
+  // against concurrent readers of site() (same contract as rebuild()).
+  // Readers of the published snapshots (server(), open_concurrent(),
+  // publishers) need no synchronization. Browsers obtained from
+  // open_browser() must refresh() after a mutation, because their cached
+  // links() point into the arc table; the engine's own session is
+  // refreshed automatically.
 
   /// Swap the whole access structure (Index → IndexedGuidedTour...).
   virtual RebuildReport set_access_structure(
@@ -177,16 +182,12 @@ class EngineInternals {
   /// The dependency graph behind the incremental path (introspection).
   [[nodiscard]] virtual const BuildGraph& build_graph() const noexcept = 0;
 
-  /// Cache control for the response cache under get().
-  virtual void clear_response_cache() = 0;
-  [[nodiscard]] virtual std::size_t response_cache_hits() const noexcept = 0;
-
-  /// The epoch-published snapshot store behind concurrent serving: every
+  /// The epoch-published snapshot store behind all serving: every
   /// successful mutation (and rebuild()) publishes a new immutable site
-  /// snapshot here. Concurrent readers go through a
-  /// serve::ConcurrentServer over this store — never through the
-  /// writer-side server()/site() — and are wait-free with respect to
-  /// mutations.
+  /// snapshot here. Readers go through a serve::ConcurrentServer over
+  /// this store — the engine's own server() or one from
+  /// open_concurrent() — never through the writer-side site(), and are
+  /// wait-free with respect to mutations.
   [[nodiscard]] virtual const serve::SnapshotStore& snapshots()
       const noexcept = 0;
 
@@ -359,8 +360,9 @@ class EngineInternals {
   // --- telemetry --------------------------------------------------------------
 
   /// Attach a metrics registry (obs/registry.hpp). The engine registers
-  /// a pull sampler mirroring its writer-side stats (HypermediaServer
-  /// counters, snapshot-store epoch/publishes) into gauges, counts every
+  /// pull samplers mirroring its server's unified_stats() into
+  /// `engine.server.*` gauges and the snapshot store's epoch/publishes
+  /// into `store.*` gauges, counts every
   /// graph run into `build.*` counters, feeds wave occupancy into a
   /// histogram, and records epoch-correlated spans (build.plan /
   /// build.wave.compute / build.wave.commit / build.publish) into the

@@ -7,8 +7,8 @@
 #pragma once
 
 #include "nav/roles.hpp"
+#include "serve/concurrent_server.hpp"
 #include "site/browser.hpp"
-#include "site/server.hpp"
 
 namespace navsep::nav {
 
@@ -17,7 +17,7 @@ class BrowserSession final : public Navigating, public SessionView {
   /// Both referents must outlive the session (the engine guarantees this
   /// for sessions it hands out).
   BrowserSession(site::Browser& browser,
-                 const site::HypermediaServer& server) noexcept
+                 const serve::ConcurrentServer& server) noexcept
       : browser_(&browser), server_(&server) {}
 
   // --- Navigating -------------------------------------------------------------
@@ -52,15 +52,15 @@ class BrowserSession final : public Navigating, public SessionView {
     return browser_->pages_visited();
   }
   [[nodiscard]] std::size_t requests() const noexcept override {
-    return server_->requests();
+    return server_->unified_stats().base.requests;
   }
   [[nodiscard]] std::size_t misses() const noexcept override {
-    return server_->misses();
+    return server_->unified_stats().base.not_found;
   }
 
  private:
   site::Browser* browser_;
-  const site::HypermediaServer* server_;
+  const serve::ConcurrentServer* server_;
 };
 
 }  // namespace navsep::nav

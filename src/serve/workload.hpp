@@ -143,7 +143,7 @@ struct WorkloadResult {
   double seconds = 0.0;
   double throughput_rps = 0.0;  ///< requests / seconds
   LatencyHistogram latency;
-  ConcurrentServer::Stats server;  ///< sampled after the run
+  ConcurrentServer::UnifiedStats server;  ///< sampled after the run
   std::vector<BehaviorTally> by_behavior;
   obs::TraceAggregate traces;  ///< empty unless options.trace.enabled
 };

@@ -29,11 +29,11 @@ class VirtualSite {
  public:
   void put(std::string path, std::string content);
 
-  /// Remove one artifact. Returns false when the path was absent. Callers
-  /// serving the site must invalidate their response caches for the path
-  /// (HypermediaServer::invalidate) so later GETs see the removal;
-  /// responses already handed out stay readable — content is shared, not
-  /// freed, while anyone still holds it.
+  /// Remove one artifact. Returns false when the path was absent. Readers
+  /// of a live site see the removal on their next lookup; served traffic
+  /// sees it from the next published snapshot on. Responses already
+  /// handed out stay readable — content is shared, not freed, while
+  /// anyone still holds it.
   bool remove(std::string_view path);
 
   [[nodiscard]] const std::string* get(std::string_view path) const;

@@ -290,8 +290,9 @@ TEST(IncrementalEngine, ShrinkingTheStructureRetiresPages) {
   const std::string dropped = members.back().node_id;
   const std::string dropped_path = navsep::core::default_href_for(dropped);
 
-  // Warm the response cache on the soon-to-vanish page.
+  // Warm the engine server's cache on the soon-to-vanish page.
   ASSERT_TRUE(engine->server().get(dropped_path).ok());
+  ASSERT_EQ(engine->server().unified_stats().base.entries, 1u);
 
   members.pop_back();
   std::vector<hm::Member> kept = members;
@@ -300,9 +301,14 @@ TEST(IncrementalEngine, ShrinkingTheStructureRetiresPages) {
                                 engine->structure().name(), std::move(kept)));
   EXPECT_EQ(r.pages_total, members.size() + 1);
   EXPECT_EQ(engine->site().get(dropped_path), nullptr);
-  // The cached 200 must be gone with the page (it held a pointer into the
-  // removed artifact — ASan guards the dangling case).
+  // The cached 200 must not outlive the page: its epoch is stale, the
+  // current snapshot 404s, and the entry retires.
   EXPECT_EQ(engine->server().get(dropped_path).status, 404);
+  const navsep::serve::ConcurrentServer::UnifiedStats s =
+      engine->server().unified_stats();
+  EXPECT_EQ(s.base.not_found, 1u);
+  EXPECT_EQ(s.base.entries, 0u);
+  EXPECT_EQ(s.base.evicted, 1u);
   expect_sites_identical(engine->site(), full_build_oracle(*engine));
 }
 

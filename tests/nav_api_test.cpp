@@ -12,6 +12,7 @@
 
 namespace hm = navsep::hypermedia;
 namespace nav = navsep::nav;
+namespace serve = navsep::serve;
 namespace site = navsep::site;
 namespace xlink = navsep::xlink;
 using navsep::museum::MuseumWorld;
@@ -271,8 +272,14 @@ TEST(RoleInterfaces, BrowserThroughNavigatingEquivalence) {
   const nav::SessionView& view = engine->session();
   EXPECT_EQ(view.history().size(), reference.history().size());
   EXPECT_EQ(view.pages_visited(), reference.pages_visited());
-  EXPECT_EQ(view.requests(), engine->server().requests());
-  EXPECT_EQ(view.misses(), engine->server().misses());
+  // Its counters are the engine server's base layer, and the session
+  // issued exactly the GETs the hand-wired reference did.
+  const serve::ConcurrentServer::UnifiedStats stats =
+      engine->server().unified_stats();
+  EXPECT_EQ(view.requests(), stats.base.requests);
+  EXPECT_EQ(view.misses(), stats.base.not_found);
+  EXPECT_EQ(view.requests(), server.requests());
+  EXPECT_EQ(view.misses(), server.misses());
 }
 
 TEST(RoleInterfaces, IndependentBrowsersDoNotShareState) {
@@ -369,15 +376,15 @@ TEST(ArcIndex, RoleFilteredLookupAndIndexAccessor) {
 
 TEST(ServerCache, RepeatsAreServedFromTheCache) {
   auto engine = paper_engine();
-  const site::HypermediaServer& server = engine->server();
+  const serve::ConcurrentServer& server = engine->server();
 
   site::Response first = server.get("guitar.html");
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(server.cache_hits(), 0u);
+  EXPECT_EQ(server.unified_stats().base.hits, 0u);
 
   site::Response second = server.get("guitar.html");
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(server.cache_hits(), 1u);
+  EXPECT_EQ(server.unified_stats().base.hits, 1u);
   EXPECT_EQ(second.body, first.body);
   EXPECT_EQ(second.content_type, first.content_type);
 
@@ -385,22 +392,21 @@ TEST(ServerCache, RepeatsAreServedFromTheCache) {
   // probing strings cannot grow the cache.
   EXPECT_FALSE(server.get("ghost.html").ok());
   EXPECT_FALSE(server.get("ghost.html").ok());
-  EXPECT_EQ(server.misses(), 2u);
-  EXPECT_EQ(server.requests(), 4u);
-  EXPECT_EQ(server.cache_size(), 1u);
+  serve::ConcurrentServer::UnifiedStats s = server.unified_stats();
+  EXPECT_EQ(s.base.not_found, 2u);
+  EXPECT_EQ(s.base.requests, 4u);
+  EXPECT_EQ(s.base.entries, 1u);
 
   // Fragments stay out of the cache key.
   EXPECT_TRUE(server.get("guitar.html#anchor").ok());
-  EXPECT_EQ(server.cache_hits(), 2u);
-  EXPECT_EQ(server.cache_size(), 1u);
-
-  engine->internals().clear_response_cache();
-  EXPECT_EQ(server.cache_size(), 0u);
+  s = server.unified_stats();
+  EXPECT_EQ(s.base.hits, 2u);
+  EXPECT_EQ(s.base.entries, 1u);
 }
 
 TEST(ServerCache, CountersSurviveConcurrentReaders) {
   auto engine = paper_engine();
-  const site::HypermediaServer& server = engine->server();
+  const serve::ConcurrentServer& server = engine->server();
   constexpr int kThreads = 4;
   constexpr int kGetsPerThread = 250;
 
@@ -419,9 +425,10 @@ TEST(ServerCache, CountersSurviveConcurrentReaders) {
   }
   for (auto& thread : threads) thread.join();
 
-  EXPECT_EQ(server.requests(), static_cast<std::size_t>(kThreads) *
-                                   kGetsPerThread);
-  EXPECT_EQ(server.misses(), static_cast<std::size_t>(kThreads) *
-                                 kGetsPerThread / 2);
+  const serve::ConcurrentServer::UnifiedStats s = server.unified_stats();
+  EXPECT_EQ(s.base.requests,
+            static_cast<std::size_t>(kThreads) * kGetsPerThread);
+  EXPECT_EQ(s.base.not_found,
+            static_cast<std::size_t>(kThreads) * kGetsPerThread / 2);
   EXPECT_EQ(oks.load(), kThreads * kGetsPerThread / 2);
 }

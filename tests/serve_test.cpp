@@ -74,7 +74,6 @@ TEST(SharedBody, ResponseOutlivesRemoval) {
   site::Response held = server.get("a.html");
   ASSERT_TRUE(held.ok());
   vsite.remove("a.html");
-  server.invalidate("a.html");
 
   // The dangling-response hazard this design removes: the site entry is
   // gone, yet the held response still owns its bytes.
@@ -89,7 +88,6 @@ TEST(SharedBody, ResponseKeepsOldBytesAcrossReplacement) {
 
   site::Response old = server.get("a.html");
   vsite.put("a.html", "version two");
-  server.invalidate("a.html");
 
   EXPECT_EQ(*old.body, "version one");
   EXPECT_EQ(*server.get("a.html").body, "version two");
@@ -104,7 +102,7 @@ TEST(SharedBody, EngineMutationCannotFreeHeldResponse) {
   const std::string before = *held.body;
 
   // Retitle every member: the entry page re-weaves, its old bytes are
-  // replaced in the site and invalidated in the cache — the held
+  // replaced in the site and a new epoch is published — the held
   // response must not notice. (Copy the member list first: each
   // retitle regenerates the structure under the iteration.)
   const std::vector<hm::Member> members = engine->structure().members();
@@ -130,28 +128,6 @@ TEST(SharedBody, BrowserPageStableAcrossMutationUntilRefresh) {
   browser.refresh();
   EXPECT_NE(*browser.page(), before);
   EXPECT_NE(browser.page()->find("mk2"), std::string::npos);
-}
-
-// --- satellite: coherent server stats -----------------------------------------
-
-TEST(ServerStats, SnapshotIsCoherentAndMatchesAccessors) {
-  site::VirtualSite vsite;
-  vsite.put("a.html", "a");
-  site::HypermediaServer server(vsite, "http://host/site/");
-
-  (void)server.get("a.html");    // resolve + cache
-  (void)server.get("a.html");    // hit
-  (void)server.get("nope.html"); // miss, not cached
-
-  site::HypermediaServer::Stats s = server.stats();
-  EXPECT_EQ(s.requests, 3u);
-  EXPECT_EQ(s.cache_hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.cache_size, 1u);
-  EXPECT_EQ(s.requests, server.requests());
-  EXPECT_EQ(s.cache_hits, server.cache_hits());
-  EXPECT_EQ(s.misses, server.misses());
-  EXPECT_GE(s.requests, s.cache_hits + s.misses);
 }
 
 // --- snapshot store -----------------------------------------------------------
@@ -198,27 +174,36 @@ TEST(SnapshotStore, HeldSnapshotSurvivesLaterEpochs) {
   }
 }
 
+// The reference is the writer's own site: its bytes, and a standalone
+// resolver hand-wired over it (no snapshot anywhere on that side).
 TEST(SiteSnapshot, RespondMatchesHypermediaServer) {
   auto engine = paper_engine();
   std::shared_ptr<const serve::SiteSnapshot> snap =
       engine->snapshots().current();
   ASSERT_NE(snap, nullptr);
+  const site::HypermediaServer reference(engine->site(), snap->base());
 
   for (const std::string& path : engine->site().paths()) {
     site::Response from_snapshot = snap->respond(path);
-    site::Response from_server = engine->server().get(path);
+    site::Response from_reference = reference.get(path);
     ASSERT_TRUE(from_snapshot.ok()) << path;
-    EXPECT_EQ(*from_snapshot.body, *from_server.body) << path;
-    EXPECT_EQ(from_snapshot.content_type, from_server.content_type) << path;
+    ASSERT_TRUE(from_reference.ok()) << path;
+    EXPECT_EQ(*from_snapshot.body, *engine->site().get(path)) << path;
+    EXPECT_EQ(*from_snapshot.body, *from_reference.body) << path;
+    EXPECT_EQ(from_snapshot.content_type, from_reference.content_type)
+        << path;
   }
   // Absolute URI under the base, with a fragment to strip.
-  site::Response absolute =
-      snap->respond(engine->server().uri_of("guitar.html") + "#frag");
+  const std::string guitar_uri = snap->base() + "guitar.html#frag";
+  site::Response absolute = snap->respond(guitar_uri);
   ASSERT_TRUE(absolute.ok());
-  EXPECT_EQ(*absolute.body, *engine->server().get("guitar.html").body);
-  // Outside the base and plain 404s.
+  EXPECT_EQ(*absolute.body, *engine->site().get("guitar.html"));
+  EXPECT_EQ(*absolute.body, *reference.get(guitar_uri).body);
+  // Outside the base and plain 404s, on both sides.
   EXPECT_FALSE(snap->respond("http://elsewhere.example/x.html").ok());
+  EXPECT_FALSE(reference.get("http://elsewhere.example/x.html").ok());
   EXPECT_FALSE(snap->respond("nope.html").ok());
+  EXPECT_FALSE(reference.get("nope.html").ok());
 }
 
 TEST(SiteSnapshot, OutgoingArcsAreSelfContained) {
@@ -236,7 +221,7 @@ TEST(SiteSnapshot, OutgoingArcsAreSelfContained) {
   EXPECT_EQ(arcs.size(),
             engine->internals()
                 .arc_table()
-                .outgoing(engine->server().uri_of("guitar.html"))
+                .outgoing(engine->server().base() + "guitar.html")
                 .size());
 }
 
@@ -247,23 +232,38 @@ TEST(ConcurrentServer, RequiresAPublishedSnapshot) {
   EXPECT_THROW(serve::ConcurrentServer{empty}, navsep::SemanticError);
 }
 
+// Both the engine's own server and an opened one serve the writer's site
+// bytes, checked against the site itself and against a standalone
+// resolver hand-wired over it.
 TEST(ConcurrentServer, ServesByteIdenticalToEngineServer) {
   auto engine = paper_engine();
   auto server = engine->open_concurrent();
   EXPECT_EQ(server->base(), engine->server().base());
+  const site::HypermediaServer reference(engine->site(),
+                                         engine->server().base());
+  EXPECT_EQ(reference.base(), server->base());
 
   for (const std::string& path : engine->site().paths()) {
     site::Response concurrent = server->get(path);
-    site::Response single = engine->server().get(path);
+    site::Response from_engine = engine->server().get(path);
+    site::Response single = reference.get(path);
     ASSERT_TRUE(concurrent.ok()) << path;
+    ASSERT_TRUE(from_engine.ok()) << path;
+    ASSERT_TRUE(single.ok()) << path;
+    EXPECT_EQ(*concurrent.body, *engine->site().get(path)) << path;
     EXPECT_EQ(*concurrent.body, *single.body) << path;
+    EXPECT_EQ(*from_engine.body, *single.body) << path;
+    EXPECT_EQ(concurrent.content_type, single.content_type) << path;
+    EXPECT_EQ(from_engine.content_type, single.content_type) << path;
   }
   EXPECT_FALSE(server->get("nope.html").ok());
+  EXPECT_FALSE(engine->server().get("nope.html").ok());
+  EXPECT_FALSE(reference.get("nope.html").ok());
 
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.requests, engine->site().paths().size() + 1);
-  EXPECT_EQ(s.not_found, 1u);
-  EXPECT_EQ(s.cached_entries, engine->site().paths().size());
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.requests, engine->site().paths().size() + 1);
+  EXPECT_EQ(s.base.not_found, 1u);
+  EXPECT_EQ(s.base.entries, engine->site().paths().size());
 }
 
 TEST(ConcurrentServer, CacheHitsThenEpochInvalidation) {
@@ -274,9 +274,9 @@ TEST(ConcurrentServer, CacheHitsThenEpochInvalidation) {
   site::Response second = server->get("guitar.html");
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.body, second.body);  // same shared bytes, cache hit
-  serve::ConcurrentServer::Stats s = server->stats();
-  EXPECT_EQ(s.cache_hits, 1u);
-  EXPECT_EQ(s.stale_refills, 0u);
+  serve::ConcurrentServer::UnifiedStats s = server->unified_stats();
+  EXPECT_EQ(s.base.hits, 1u);
+  EXPECT_EQ(s.base.stale_refills, 0u);
 
   // A mutation publishes a new epoch: the cached entry is stale and the
   // next GET refills it with the re-woven bytes. Retitling guernica
@@ -285,9 +285,9 @@ TEST(ConcurrentServer, CacheHitsThenEpochInvalidation) {
   site::Response third = server->get("guitar.html");
   ASSERT_TRUE(third.ok());
   EXPECT_NE(*third.body, *first.body);
-  EXPECT_EQ(*third.body, *engine->server().get("guitar.html").body);
-  s = server->stats();
-  EXPECT_EQ(s.stale_refills, 1u);
+  EXPECT_EQ(*third.body, *engine->site().get("guitar.html"));
+  s = server->unified_stats();
+  EXPECT_EQ(s.base.stale_refills, 1u);
   EXPECT_EQ(s.epoch, 2u);
   // The pre-mutation response still reads fine (shared ownership).
   EXPECT_NE(first.body->find("guitar"), std::string::npos);
@@ -319,7 +319,7 @@ TEST(ConcurrentServer, BrowserRunsOverIt) {
 
   ASSERT_TRUE(browser.navigate("guitar.html"));
   ASSERT_NE(browser.page(), nullptr);
-  EXPECT_EQ(*browser.page(), *engine->server().get("guitar.html").body);
+  EXPECT_EQ(*browser.page(), *engine->site().get("guitar.html"));
   EXPECT_TRUE(browser.follow_role("next"));
   EXPECT_TRUE(browser.back());
   EXPECT_EQ(browser.location(), server->base() + "guitar.html");
@@ -368,7 +368,7 @@ TEST(Workload, DrivesAllBehaviorsWithoutFailures) {
   EXPECT_EQ(result.failures, 0u);
   EXPECT_EQ(result.latency.count(), result.requests);
   EXPECT_GT(result.throughput_rps, 0.0);
-  EXPECT_EQ(result.server.requests, result.requests);
+  EXPECT_EQ(result.server.base.requests, result.requests);
   ASSERT_EQ(result.by_behavior.size(), 4u);
   for (const serve::BehaviorTally& tally : result.by_behavior) {
     EXPECT_EQ(tally.sessions, 1u);
@@ -478,6 +478,69 @@ TEST(ServeStress, ReadersSeeOnlyOracleBytesUnderConcurrentWrites) {
   const std::map<std::string, std::string> final_bytes = site_bytes(*engine);
   for (const auto& [path, bytes] : final_bytes) {
     site::Response resp = server->get(path);
+    ASSERT_TRUE(resp.ok()) << path;
+    EXPECT_EQ(*resp.body, bytes) << path;
+  }
+}
+
+// engine->server() reads the published snapshots, not the writer's site,
+// so it takes readers on other threads while the writer mutates. Two
+// readers GET every path through it while the writer ping-pongs one
+// member's title between two states; every body must be one of the two
+// oracles' bytes for that path.
+TEST(ServeStress, EngineServerIsSafeForConcurrentReaders) {
+  auto engine = synthetic_engine(4);
+  const std::string member = engine->structure().members().front().node_id;
+
+  (void)engine->internals().retitle_node(member, "Title (state A)");
+  const std::map<std::string, std::string> oracle_a = site_bytes(*engine);
+  (void)engine->internals().retitle_node(member, "Title (state B)");
+  const std::map<std::string, std::string> oracle_b = site_bytes(*engine);
+  ASSERT_NE(oracle_a, oracle_b);
+  (void)engine->internals().retitle_node(member, "Title (state A)");
+
+  const serve::ConcurrentServer& server = engine->server();
+  std::vector<std::string> paths;
+  for (const auto& [path, _] : oracle_a) paths.push_back(path);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> reads{0};
+  std::atomic<std::size_t> not_ok{0};
+  std::atomic<std::size_t> torn{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      std::size_t i = r;
+      while (!done.load(std::memory_order_acquire)) {
+        const std::string& path = paths[i++ % paths.size()];
+        site::Response resp = server.get(path);
+        if (!resp.ok()) {
+          not_ok.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+        const bool matches = *resp.body == oracle_a.at(path) ||
+                             *resp.body == oracle_b.at(path);
+        if (!matches) torn.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  constexpr std::size_t kWrites = 32;
+  for (std::size_t w = 0; w < kWrites; ++w) {
+    (void)engine->internals().retitle_node(
+        member, w % 2 == 0 ? "Title (state B)" : "Title (state A)");
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(not_ok.load(), 0u);
+  // The last write left state A; the engine server serves it.
+  for (const auto& [path, bytes] : oracle_a) {
+    site::Response resp = server.get(path);
     ASSERT_TRUE(resp.ok()) << path;
     EXPECT_EQ(*resp.body, bytes) << path;
   }
